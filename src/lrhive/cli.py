@@ -15,6 +15,7 @@ from .coefficients import METHODS, lr_coefficient
 from .horn import facet_system, hilbert_generators
 from .partitions import Partition
 from .piecewise import (
+    GL4NR_VARIABLES,
     eval_sample_piece,
     family_function,
     gl4nr_sample_pieces,
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("piecewise", help="evaluate or verify a counting-function table")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--point", metavar="X,X,...", help="integer point, 5 coordinates")
+    p.add_argument("--point", metavar="X,X,...", help="integer point, one coordinate per table variable")
     p.add_argument("--verify-range", type=int, metavar="B",
                    help="scan all points with coordinates in [0, B] against enumeration")
     p.add_argument("--dump", action="store_true", help="print the table as JSON")
@@ -200,8 +201,15 @@ def _cmd_piecewise(args) -> int:
         raise SystemExit("piecewise needs one of --point, --verify-range, --dump")
     coords = tuple(int(t) for t in args.point.split(","))
     if args.family == "gl4nr-samples":
+        variables = GL4NR_VARIABLES
+    else:
+        variables = family_function(args.family).variables
+    if len(coords) != len(variables):
+        raise ValueError(f"--point for {args.family} needs {len(variables)} coordinates "
+                         f"({','.join(variables)}), got {len(coords)}")
+    if args.family == "gl4nr-samples":
         pieces = gl4nr_sample_pieces()
-        point = point_of(("k1", "k2", "m1", "m2", "m3"), coords)
+        point = point_of(variables, coords)
         hits = [(i, eval_sample_piece(p, point)) for i, p in enumerate(pieces)
                 if p[0].contains(point)]
         if args.json:
@@ -214,9 +222,7 @@ def _cmd_piecewise(args) -> int:
         else:
             print("no sample piece contains the point")
         return 0
-    f = family_function(args.family)
-    point = point_of(f.variables, coords)
-    value, index = f.evaluate(point)
+    value, index = family_function(args.family).evaluate(point_of(variables, coords))
     if args.json:
         print(json.dumps({"point": list(coords), "value": value, "piece": index},
                          sort_keys=True))

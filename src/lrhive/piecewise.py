@@ -30,31 +30,48 @@ Rational = Fraction | int
 
 @dataclass(frozen=True)
 class LinearForm:
-    """coeffs . x + constant, with exact rational coefficients."""
+    """(coeffs . x + constant) / denominator, with integer numerators.
 
-    coeffs: tuple[tuple[str, Fraction], ...]  # sorted by variable name
-    constant: Fraction
+    ``make`` keeps every form in lowest terms (``denominator`` is the least
+    common denominator of the rational coefficients), so equal forms compare
+    and hash equal.
+    """
+
+    coeffs: tuple[tuple[str, int], ...]  # sorted by variable name, no zeros
+    constant: int
+    denominator: int = 1
 
     @classmethod
     def make(cls, coeffs: Mapping[str, Rational], constant: Rational = 0) -> "LinearForm":
-        items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-        return cls(items, Fraction(constant))
+        values = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
+        constant = Fraction(constant)
+        den = lcm(constant.denominator, *(c.denominator for c in values.values()))
+        return cls(
+            tuple(sorted((v, c.numerator * (den // c.denominator)) for v, c in values.items())),
+            constant.numerator * (den // constant.denominator),
+            den,
+        )
+
+    def numerator_at(self, point: Mapping[str, int]) -> int:
+        """The integer N with ``self(point) == N / self.denominator``."""
+        total = self.constant
+        for v, c in self.coeffs:
+            total += c * point[v]
+        return total
 
     def __call__(self, point: Mapping[str, int]) -> Fraction:
-        return sum((c * point[v] for v, c in self.coeffs), start=self.constant)
+        return Fraction(self.numerator_at(point), self.denominator)
 
     def permuted(self, perm: Mapping[str, str]) -> "LinearForm":
-        return LinearForm.make({perm.get(v, v): c for v, c in self.coeffs}, self.constant)
+        coeffs = tuple(sorted((perm.get(v, v), c) for v, c in self.coeffs))
+        return LinearForm(coeffs, self.constant, self.denominator)
 
     def normalized(self) -> "LinearForm":
         """Scale by a positive rational to primitive integer coefficients."""
-        values = [c for _, c in self.coeffs] + ([self.constant] if self.constant else [])
-        if not values:
+        g = gcd(self.constant, *(c for _, c in self.coeffs))
+        if not g:
             return self
-        denom = lcm(*(v.denominator for v in values))
-        numer = gcd(*(abs(v.numerator * denom // v.denominator) for v in values))
-        scale = Fraction(denom, numer or 1)
-        return LinearForm.make({v: c * scale for v, c in self.coeffs}, self.constant * scale)
+        return LinearForm(tuple((v, c // g) for v, c in self.coeffs), self.constant // g)
 
 
 @dataclass(frozen=True)
@@ -68,7 +85,15 @@ class Cone:
         return cls(frozenset(c.normalized() for c in constraints))
 
     def contains(self, point: Mapping[str, int]) -> bool:
-        return all(c(point) >= 0 for c in self.constraints)
+        # LinearForm.numerator_at inlined: containment is evaluate's hottest loop.
+        # Denominators are positive, so a constraint's sign is its numerator's.
+        for form in self.constraints:
+            total = form.constant
+            for v, c in form.coeffs:
+                total += c * point[v]
+            if total < 0:
+                return False
+        return True
 
     def permuted(self, perm: Mapping[str, str]) -> "Cone":
         return Cone.make(c.permuted(perm) for c in self.constraints)
@@ -80,25 +105,45 @@ class Cone:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Multivariate polynomial: exponent tuple over ``variables`` -> coefficient."""
+    """Multivariate polynomial over ``variables``: the sum of
+    numerator * x**exponents, divided by ``denominator``.
+
+    Kept in lowest terms (gcd of the denominator and all numerators is 1), so
+    equal polynomials compare and hash equal, and evaluation is an integer
+    sum followed by one exact division.
+    """
 
     variables: tuple[str, ...]
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]  # sorted, no zeros
+    numerators: tuple[tuple[tuple[int, ...], int], ...]  # sorted by exponents, no zeros
+    denominator: int = 1
+
+    @classmethod
+    def _reduced(cls, variables, acc: Mapping[tuple[int, ...], int], den: int) -> "Polynomial":
+        nums = [(e, c) for e, c in acc.items() if c]
+        g = gcd(den, *(c for _, c in nums))
+        return cls(variables, tuple(sorted((e, c // g) for e, c in nums)), den // g)
 
     @classmethod
     def make(cls, variables, terms: Mapping[tuple[int, ...], Rational]) -> "Polynomial":
-        clean = tuple(sorted((e, Fraction(c)) for e, c in terms.items() if c != 0))
-        return cls(tuple(variables), clean)
+        values = {e: Fraction(c) for e, c in terms.items()}
+        den = lcm(*(c.denominator for c in values.values()))
+        acc = {e: c.numerator * (den // c.denominator) for e, c in values.items()}
+        return cls._reduced(tuple(variables), acc, den)
 
     @classmethod
     def const(cls, variables, value: Rational) -> "Polynomial":
-        return cls.make(variables, {(0,) * len(variables): Fraction(value)})
+        return cls.make(variables, {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables, name: str) -> "Polynomial":
         e = [0] * len(variables)
         e[tuple(variables).index(name)] = 1
-        return cls.make(variables, {tuple(e): Fraction(1)})
+        return cls(tuple(variables), ((tuple(e), 1),))
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        """(exponents, rational coefficient) pairs, sorted by exponents."""
+        return tuple((e, Fraction(c, self.denominator)) for e, c in self.numerators)
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -109,15 +154,18 @@ class Polynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return Polynomial.make(self.variables, acc)
+        den = lcm(self.denominator, other.denominator)
+        acc: dict[tuple[int, ...], int] = {}
+        for p in (self, other):
+            scale = den // p.denominator
+            for e, c in p.numerators:
+                acc[e] = acc.get(e, 0) + c * scale
+        return Polynomial._reduced(self.variables, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial.make(self.variables, {e: -c for e, c in self.terms})
+        return Polynomial(self.variables, tuple((e, -c) for e, c in self.numerators), self.denominator)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -127,12 +175,12 @@ class Polynomial:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        acc: dict[tuple[int, ...], int] = {}
+        for e1, c1 in self.numerators:
+            for e2, c2 in other.numerators:
                 e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Polynomial.make(self.variables, acc)
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return Polynomial._reduced(self.variables, acc, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -142,26 +190,29 @@ class Polynomial:
             out = out * self
         return out
 
-    def __call__(self, point: Mapping[str, int]) -> Fraction:
-        total = Fraction(0)
+    def numerator_at(self, point: Mapping[str, int]) -> int:
+        """The integer N with ``self(point) == N / self.denominator``."""
         vals = [point[v] for v in self.variables]
-        for e, c in self.terms:
-            term = c
+        total = 0
+        for e, c in self.numerators:
             for base, exp in zip(vals, e):
                 if exp:
-                    term *= base**exp
-            total += term
+                    c *= base**exp
+            total += c
         return total
+
+    def __call__(self, point: Mapping[str, int]) -> Fraction:
+        return Fraction(self.numerator_at(point), self.denominator)
 
     def permuted(self, perm: Mapping[str, str]) -> "Polynomial":
         index = {v: i for i, v in enumerate(self.variables)}
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms:
+        terms = []
+        for e, c in self.numerators:
             new = [0] * len(self.variables)
             for v, exp in zip(self.variables, e):
                 new[index[perm.get(v, v)]] = exp
-            acc[tuple(new)] = acc.get(tuple(new), Fraction(0)) + c
-        return Polynomial.make(self.variables, acc)
+            terms.append((tuple(new), c))
+        return Polynomial(self.variables, tuple(sorted(terms)), self.denominator)
 
 
 def binom3(expr: Polynomial) -> Polynomial:
@@ -181,13 +232,17 @@ class QuasiPolynomial:
     def plain(cls, poly: Polynomial) -> "QuasiPolynomial":
         return cls(1, LinearForm.make({}), (poly,))
 
-    def __call__(self, point: Mapping[str, int]) -> Fraction:
+    def branch(self, point: Mapping[str, int]) -> Polynomial:
+        """The branch polynomial that applies at ``point``."""
         if self.modulus == 1:
-            return self.branches[0](point)
-        sel = self.selector(point)
-        if sel.denominator != 1:
+            return self.branches[0]
+        sel, rem = divmod(self.selector.numerator_at(point), self.selector.denominator)
+        if rem:
             raise ValueError("selector must be integral on integer points")
-        return self.branches[sel.numerator % self.modulus](point)
+        return self.branches[sel % self.modulus]
+
+    def __call__(self, point: Mapping[str, int]) -> Fraction:
+        return self.branch(point)(point)
 
     def permuted(self, perm: Mapping[str, str]) -> "QuasiPolynomial":
         return QuasiPolynomial(
@@ -217,22 +272,23 @@ class PiecewiseFunction:
         """
         if not self.support.contains(point):
             return 0, None
-        hits = [(i, q(point)) for i, (cone, q) in enumerate(self.pieces) if cone.contains(point)]
+        hits = [(i, q.branch(point)) for i, (cone, q) in enumerate(self.pieces)
+                if cone.contains(point)]
         if not hits:
             raise PieceAgreementError(f"no piece covers in-support point {dict(point)}")
-        values = {v for _, v in hits}
-        if len(values) != 1:
+        # (quotient, remainder) pairs: one pair with remainder 0 means every
+        # piece gave the same integer
+        values = {divmod(p.numerator_at(point), p.denominator) for _, p in hits}
+        if len(values) == 1:
+            (value, rem), = values
+            if not rem:
+                return value, hits[0][0]
+        exact = {p(point) for _, p in hits}
+        if len(exact) != 1:
             raise PieceAgreementError(
-                f"pieces {[i for i, _ in hits]} disagree at {dict(point)}: {sorted(values)}"
+                f"pieces {[i for i, _ in hits]} disagree at {dict(point)}: {sorted(exact)}"
             )
-        value = values.pop()
-        if value.denominator != 1:
-            raise PieceAgreementError(f"non-integral value {value} at {dict(point)}")
-        return value.numerator, hits[0][0]
-
-
-def eval_piecewise(f: PiecewiseFunction, point: Mapping[str, int]) -> tuple[int, int | None]:
-    return f.evaluate(point)
+        raise PieceAgreementError(f"non-integral value {exact.pop()} at {dict(point)}")
 
 
 def point_of(variables, values) -> dict[str, int]:
@@ -473,10 +529,11 @@ def gl4nr2_count_function() -> PiecewiseFunction:
         pieces.extend(orbit)
     if len({_piece_key(p) for p in pieces}) != 36 or len(pieces) != 36:
         raise TranscriptionError(f"expected 36 distinct pieces, got {len(pieces)}")
-    fixed = sum(1 for p in pieces if _piece_key((p[0].permuted(S1), p[1].permuted(S1))) == _piece_key(p))
+    f = PiecewiseFunction(GL4NR2_VARIABLES, _support_cone(("k1", "k2", "l1", "l2")), tuple(pieces))
+    fixed = len(s1_fixed_pieces(f))
     if fixed != 12:
         raise TranscriptionError(f"expected 12 s1-fixed pieces, got {fixed}")
-    return PiecewiseFunction(GL4NR2_VARIABLES, _support_cone(("k1", "k2", "l1", "l2")), tuple(pieces))
+    return f
 
 
 def s1_fixed_pieces(f: PiecewiseFunction) -> list[int]:
@@ -546,10 +603,11 @@ def eval_sample_piece(piece: Piece, point: Mapping[str, int]) -> int:
     cone, q = piece
     if not cone.contains(point):
         raise ValueError(f"point {dict(point)} is outside the piece's cone")
-    value = q(point)
-    if value.denominator != 1:
-        raise PieceAgreementError(f"non-integral value {value} at {dict(point)}")
-    return value.numerator
+    p = q.branch(point)
+    value, rem = divmod(p.numerator_at(point), p.denominator)
+    if rem:
+        raise PieceAgreementError(f"non-integral value {p(point)} at {dict(point)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +647,23 @@ def enum_value(family: str, point: Mapping[str, int]) -> int:
 
 def verify_family(family: str, bound: int):
     """Scan all integer points with coordinates in [0, bound]; return the first
-    (point, table value, enumeration value) mismatch, or None."""
+    (point, table value, enumeration value) mismatch, or None.
+
+    For the full tables the threshold c is the last variable, so the scan
+    enumerates each (lam, mu) once and reads every threshold from its
+    histogram, in the same point order as a per-point scan.
+    """
+    if bound < 0:
+        raise ValueError("verify range must be nonnegative")
     if family == "gl4nr-samples":
         V = GL4NR_VARIABLES
+        pieces = gl4nr_sample_pieces()
         for coords in product(range(bound + 1), repeat=len(V)):
             point = point_of(V, coords)
             if not point["m1"] >= point["m2"] >= point["m3"]:
                 continue
             truth = None
-            for piece in gl4nr_sample_pieces():
+            for piece in pieces:
                 if piece[0].contains(point):
                     if truth is None:
                         truth = enum_value(family, point)
@@ -606,12 +672,15 @@ def verify_family(family: str, bound: int):
                         return point, got, truth
         return None
     f = family_function(family)
-    for coords in product(range(bound + 1), repeat=len(f.variables)):
-        point = point_of(f.variables, coords)
-        value, _ = f.evaluate(point)
-        truth = enum_value(family, point)
-        if value != truth:
-            return point, value, truth
+    rank = {"gl3": 3, "gl4nr2": 4}[family]
+    for coords in product(range(bound + 1), repeat=len(f.variables) - 1):
+        histogram = multiplicity_multiset(*_nr_pair(point_of(f.variables, coords), rank))
+        for c in range(bound + 1):
+            point = point_of(f.variables, coords + (c,))
+            value, _ = f.evaluate(point)
+            truth = histogram.count_above(c)
+            if value != truth:
+                return point, value, truth
     return None
 
 
@@ -619,25 +688,15 @@ def verify_family(family: str, bound: int):
 # JSON schema (compatibility surface)
 
 
-def _rational_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _rational_parse(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def _form_to_json(lf: LinearForm) -> dict:
     return {
-        "coeffs": {v: _rational_str(c) for v, c in lf.coeffs},
-        "constant": _rational_str(lf.constant),
+        "coeffs": {v: str(Fraction(c, lf.denominator)) for v, c in lf.coeffs},
+        "constant": str(Fraction(lf.constant, lf.denominator)),
     }
 
 
 def _form_from_json(d: dict) -> LinearForm:
-    return LinearForm.make(
-        {v: _rational_parse(c) for v, c in d["coeffs"].items()}, _rational_parse(d["constant"])
-    )
+    return LinearForm.make({v: Fraction(c) for v, c in d["coeffs"].items()}, Fraction(d["constant"]))
 
 
 def _cone_to_json(cone: Cone) -> dict:

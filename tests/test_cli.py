@@ -89,6 +89,22 @@ def test_piecewise_verify_range(capsys):
     assert code == 0 and out.startswith("OK")
 
 
+@pytest.mark.parametrize("family", ["gl3", "gl4nr2", "gl4nr-samples"])
+@pytest.mark.parametrize("point", ["1,1,1", "1,1,1,1,1,1"])
+def test_piecewise_point_arity(capsys, family, point):
+    code = main(["piecewise", "--family", family, "--point", point])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --point") and captured.err.count("\n") == 1
+
+
+def test_piecewise_negative_verify_range(capsys):
+    code = main(["piecewise", "--family", "gl3", "--verify-range", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_piecewise_dump_round_trips(capsys):
     from lrhive.piecewise import piecewise_from_json, point_of
 

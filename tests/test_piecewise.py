@@ -1,11 +1,15 @@
 """Tests for the piecewise (quasi-)polynomial machinery and tables."""
 
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrhive import piecewise
+from lrhive.cli import main
 from lrhive.partitions import Partition
 from lrhive.piecewise import (
     GL4NR_VARIABLES,
@@ -13,6 +17,7 @@ from lrhive.piecewise import (
     Cone,
     LinearForm,
     PieceAgreementError,
+    PiecewiseFunction,
     Polynomial,
     QuasiPolynomial,
     binom3,
@@ -186,6 +191,9 @@ def test_verify_family_small():
     assert verify_family("gl4nr-samples", 2) is None
     with pytest.raises(ValueError):
         verify_family("bogus", 1)
+    for family in ("gl3", "gl4nr2", "gl4nr-samples"):
+        with pytest.raises(ValueError):
+            verify_family(family, -1)
 
 
 def test_json_round_trip():
@@ -197,3 +205,144 @@ def test_json_round_trip():
         for coords in [(1, 1, 1, 1, 0), (3, 2, 4, 1, 1), (0, 0, 0, 0, 0), (4, 4, 2, 2, 2)]:
             point = point_of(f.variables, coords)
             assert g.evaluate(point) == f.evaluate(point)
+
+
+# ---------------------------------------------------------------------------
+# integer evaluation against a plain Fraction reference
+
+
+def _ref_table(f):
+    """The JSON form of ``f`` with every rational parsed to a Fraction."""
+    d = piecewise_to_json(f)
+
+    def form(j):
+        return [(v, Fraction(c)) for v, c in j["coeffs"].items()], Fraction(j["constant"])
+
+    def cone(j):
+        return [form(c) for c in j["constraints"]]
+
+    def poly(j):
+        return [(m["exponents"], Fraction(m["numerator"], m["denominator"])) for m in j["monomials"]]
+
+    pieces = [(cone(p["cone"]), p["modulus"], form(p["selector"]), [poly(b) for b in p["branches"]])
+              for p in d["pieces"]]
+    return d["variables"], cone(d["support"]), pieces
+
+
+def _ref_form(form, point):
+    coeffs, constant = form
+    return sum((c * point[v] for v, c in coeffs), constant)
+
+
+def _ref_contains(cone, point):
+    return all(_ref_form(form, point) >= 0 for form in cone)
+
+
+def _ref_piece_value(piece, variables, point):
+    _, modulus, selector, branches = piece
+    branch = 0
+    if modulus != 1:
+        sel = _ref_form(selector, point)
+        assert sel.denominator == 1
+        branch = sel.numerator % modulus
+    total = Fraction(0)
+    for exponents, coeff in branches[branch]:
+        monomial = 1
+        for v, e in zip(variables, exponents):
+            monomial *= point[v] ** e
+        total += coeff * monomial
+    return total
+
+
+@pytest.mark.parametrize("table, values", [
+    ("gl3", (-1, 0, 1, 3)),
+    ("gl4nr2", (-1, 0, 2)),
+    ("gl4nr-samples", (-1, 0, 1, 2)),  # includes the mod-2 quasi-polynomial piece
+])
+def test_integer_evaluation_matches_fraction_reference(table, values):
+    if table == "gl4nr-samples":
+        f = PiecewiseFunction(GL4NR_VARIABLES, Cone.make([]), tuple(gl4nr_sample_pieces()))
+    else:
+        f = family_function(table)
+    variables, support, ref_pieces = _ref_table(f)
+    branches_hit = set()
+    for coords in product(values, repeat=len(f.variables)):
+        point = point_of(f.variables, coords)
+        hits = []
+        for i, ((cone, q), ref) in enumerate(zip(f.pieces, ref_pieces)):
+            inside, value = _ref_contains(ref[0], point), _ref_piece_value(ref, variables, point)
+            assert cone.contains(point) == inside, coords
+            assert q(point) == value, coords
+            if inside:
+                hits.append((i, value))
+                branches_hit.add((i, q.branches.index(q.branch(point))))
+        # evaluate() spelled out in Fraction arithmetic
+        if not _ref_contains(support, point):
+            expected = (0, None)
+        elif not hits or len({v for _, v in hits}) != 1 or hits[0][1].denominator != 1:
+            expected = "PieceAgreementError"
+        else:
+            expected = (hits[0][1].numerator, hits[0][0])
+        try:
+            got = f.evaluate(point)
+        except PieceAgreementError:
+            got = "PieceAgreementError"
+        assert got == expected, coords
+    assert all((i, b) in branches_hit for i, (_, q) in enumerate(f.pieces)
+               for b in range(q.modulus))
+
+
+def test_non_integral_values_raise():
+    x = Polynomial.var(("x",), "x")
+    everywhere = Cone.make([])
+    half = PiecewiseFunction(("x",), everywhere,
+                             ((everywhere, QuasiPolynomial.plain(Fraction(1, 2) * x)),))
+    assert half.evaluate({"x": 4}) == (2, 0)
+    assert half.evaluate({"x": -2}) == (-1, 0)
+    for odd in (-3, 1, 3):
+        with pytest.raises(PieceAgreementError, match="non-integral"):
+            half.evaluate({"x": odd})
+        with pytest.raises(PieceAgreementError, match="non-integral"):
+            eval_sample_piece(half.pieces[0], {"x": odd})
+    # 3/2 and 5/4 have equal integer parts and remainders, yet disagree
+    quarter = (everywhere, QuasiPolynomial.plain((x + 2) * Fraction(1, 4)))
+    both = PiecewiseFunction(("x",), everywhere, half.pieces + (quarter,))
+    with pytest.raises(PieceAgreementError, match="disagree"):
+        both.evaluate({"x": 3})
+
+
+@pytest.mark.parametrize("family", ["gl3", "gl4nr2"])
+def test_verify_family_first_mismatch_matches_per_point_scan(family, monkeypatch):
+    f = family_function(family)
+    V = f.variables
+    k1, l2, c = (Polynomial.var(V, v) for v in ("k1", "l2", "c"))
+    bump = k1 * l2 * c  # zero on most of the range, so the mismatch is not the first point
+    broken = PiecewiseFunction(V, f.support, tuple(
+        (cone, QuasiPolynomial.plain(q.branches[0] + bump)) for cone, q in f.pieces))
+    expected = None
+    for coords in product(range(3), repeat=len(V)):
+        point = point_of(V, coords)
+        value, truth = broken.evaluate(point)[0], enum_value(family, point)
+        if value != truth:
+            expected = (point, value, truth)
+            break
+    assert expected is not None and expected[0]["c"] > 0
+    monkeypatch.setattr(piecewise, "family_function", lambda _: broken)
+    got = verify_family(family, 2)
+    assert got == expected
+    assert list(got[0]) == list(V)  # printed in the table's variable order
+
+
+# sha256 of `lrhive piecewise --family F --dump`, fixed when the tables moved
+# from Fraction to integer storage; the dump must not change with the storage
+DUMP_SHA256 = {
+    "gl3": "7b5319b1f92c32df5f3786967173be5c2b17374135b5a3cafee06549eca62f9c",
+    "gl4nr2": "27de1a621265bb54bafe8742faf6a01d9e6489bfd4b7753a59530c241ed05675",
+}
+
+
+@pytest.mark.parametrize("family", sorted(DUMP_SHA256))
+def test_dump_bytes_pinned(family, capsys):
+    assert main(["piecewise", "--family", family, "--dump"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[family]
