@@ -27,9 +27,7 @@ from .piecewise import (
 from .verify import (
     FAIL,
     SweepConfig,
-    check_conjecture1,
-    check_conjecture2,
-    cz_sum_check,
+    compare,
     reproduce_gl5_counterexample,
     stability_check,
     sweep,
@@ -105,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nr", type=int, help="bound on max(lambda1-lambda2, lambda2)")
     p.add_argument("--max-mu", type=int, help="bound on |mu|")
     p.add_argument("--check", choices=("conj1", "conj2", "cz_sum"))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int)
     p.add_argument("--output", metavar="FILE")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"))
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("repro-gl5", help="reproduce the rank-5 component-count counterexample")
@@ -153,14 +151,14 @@ def _cmd_multiset(args) -> int:
 
 def _cmd_compare(args) -> int:
     lam, mu = _partition(args, "lam"), _partition(args, "mu")
-    check = {"conj1": check_conjecture1, "conj2": check_conjecture2, "czsum": cz_sum_check}
-    return _emit_verdict(check[args.command](lam, mu), args.json)
+    check = "cz_sum" if args.command == "czsum" else args.command
+    return _emit_verdict(compare(check, lam, mu), args.json)
 
 
 def _cmd_stability(args) -> int:
     nu4 = tuple(int(t) for t in args.nu.split(","))
     if len(nu4) != 4:
-        raise SystemExit("--nu needs exactly four parts")
+        raise ValueError("--nu needs exactly four parts")
     ranks = tuple(int(t) for t in args.ranks.split(","))
     v = stability_check(args.lam1, args.lam2, args.mu1, args.mu2, nu4, ranks)
     return _emit_verdict(v, args.json)
@@ -186,7 +184,7 @@ def _cmd_horn(args) -> int:
 def _cmd_piecewise(args) -> int:
     if args.dump:
         if args.family == "gl4nr-samples":
-            raise SystemExit("--dump supports the full tables only (gl3, gl4nr2)")
+            raise ValueError("--dump supports the full tables only (gl3, gl4nr2)")
         print(json.dumps(piecewise_to_json(family_function(args.family)), sort_keys=True))
         return 0
     if args.verify_range is not None:
@@ -198,7 +196,7 @@ def _cmd_piecewise(args) -> int:
         print(f"MISMATCH at {point}: table {table_value}, enumeration {true_value}")
         return 1
     if args.point is None:
-        raise SystemExit("piecewise needs one of --point, --verify-range, --dump")
+        raise ValueError("piecewise needs one of --point, --verify-range, --dump")
     coords = tuple(int(t) for t in args.point.split(","))
     if args.family == "gl4nr-samples":
         variables = GL4NR_VARIABLES
@@ -232,18 +230,18 @@ def _cmd_piecewise(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    inline = {"n": args.n, "max_nr": args.max_nr, "max_mu_size": args.max_mu, "check": args.check,
+              "jobs": args.jobs, "output_path": args.output, "output_format": args.format}
+    given = {k: v for k, v in inline.items() if v is not None}
     if args.config:
+        if given:
+            raise ValueError("use either --config or inline flags, not both")
         with open(args.config) as fh:
             config = SweepConfig.from_json(json.load(fh))
-        if args.jobs != 1:
-            raise SystemExit("use either --config or inline flags, not both")
+    elif not {"n", "max_nr", "max_mu_size", "check"} <= given.keys():
+        raise ValueError("sweep needs --config or all of --n --max-nr --max-mu --check")
     else:
-        missing = [f for f in ("n", "max_nr", "max_mu", "check") if getattr(args, f) is None]
-        if missing:
-            raise SystemExit(f"sweep needs --config or all of --n --max-nr --max-mu --check")
-        config = SweepConfig(n=args.n, max_nr=args.max_nr, max_mu_size=args.max_mu,
-                             check=args.check, jobs=args.jobs,
-                             output_path=args.output, output_format=args.format)
+        config = SweepConfig(**given)
     report = sweep(config, version=f"{__version__}+t{TABLES_REVISION}")
     if args.json:
         print(report.to_json_text(), end="")

@@ -43,10 +43,8 @@ def gl3_interval(lam: Partition, mu: Partition, nu: Partition) -> IntegerInterva
 
 def gl3_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """c_{lam,mu}^nu at rank 3 with lam_3 = mu_3 = 0."""
-    _require_reduced_rank3(lam, mu, nu)
-    if nu.size != lam.size + mu.size:
-        return 0
-    return gl3_interval(lam, mu, nu).cardinality
+    interval = gl3_interval(lam, mu, nu)  # validates the input
+    return interval.cardinality if nu.size == lam.size + mu.size else 0
 
 
 def gl3_threshold_forms(lam: Partition, mu: Partition, nu: Partition) -> list[int]:

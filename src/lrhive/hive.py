@@ -101,9 +101,6 @@ class Hive:
         mu = tuple(self.rows[n][j] - self.rows[n][j - 1] for j in range(1, n + 1))
         return Partition(lam), Partition(mu), Partition(nu)
 
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
-
 
 def _common_rank(*parts: Partition) -> int:
     n = parts[0].n

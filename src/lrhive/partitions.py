@@ -63,9 +63,6 @@ class Partition:
             raise ValueError("empty partition needs an explicit rank")
         return cls(tuple(parts))
 
-    def is_zero(self) -> bool:
-        return all(p == 0 for p in self.parts)
-
 
 def dual_star(lam: Partition) -> Partition:
     """The dual partition (lam1 - lam_n, ..., lam1 - lam_2, 0).

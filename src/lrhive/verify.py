@@ -14,8 +14,8 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from time import perf_counter
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .formulas import nr_coefficient
 from .hive import count_hives
@@ -67,45 +67,48 @@ def lambda_dagger(lam: Partition) -> Partition:
     return dual_star(bar_reduce(lam))
 
 
-def check_conjecture1(lam: Partition, mu: Partition, *, require_near_rectangular: bool = True) -> Verdict:
-    """Multiset equality of positive coefficient histograms for lam vs lam-dagger."""
+# Per check: what it reads from each multiplicity multiset, and its mismatch witness.
+_CHECKS = {
+    "conj1": (lambda ms: ms, lambda left, right:
+              f"first differing histogram entry {min(set(left.counts) ^ set(right.counts))}"),
+    "conj2": (attrgetter("components"), "component counts {} != {}".format),
+    "cz_sum": (attrgetter("mult_sum"), "multiplicity sums {} != {}".format),
+}
+
+
+def compare(check: str, lam: Partition, mu: Partition, *,
+            require_near_rectangular: bool = True, histogram=None) -> Verdict:
+    """Run ``check`` (conj1 | conj2 | cz_sum) on (lam, mu) vs (lam-dagger, mu).
+
+    conj1 and conj2 SKIP a lam that is not near-rectangular if required.
+    ``histogram(lam, mu)`` gives each multiplicity multiset (default: computed).
+    """
     if lam.n != mu.n:
         raise ValueError("rank mismatch")
-    if require_near_rectangular and not is_near_rectangular(lam):
-        return Verdict(SKIP, "conj1", lam, mu, witness="lambda is not near-rectangular")
-    left = multiplicity_multiset(lam, mu)
-    right = multiplicity_multiset(lambda_dagger(lam), mu)
+    project, witness = _CHECKS[check]
+    if require_near_rectangular and check != "cz_sum" and not is_near_rectangular(lam):
+        return Verdict(SKIP, check, lam, mu, witness="lambda is not near-rectangular")
+    histogram = histogram or multiplicity_multiset
+    left = project(histogram(lam, mu))
+    right = project(histogram(lambda_dagger(lam), mu))
     if left == right:
-        return Verdict(PASS, "conj1", lam, mu, left, right)
-    diff = sorted(set(left.as_dict().items()) ^ set(right.as_dict().items()))
-    return Verdict(FAIL, "conj1", lam, mu, left, right,
-                   witness=f"first differing histogram entry {diff[0]}")
+        return Verdict(PASS, check, lam, mu, left, right)
+    return Verdict(FAIL, check, lam, mu, left, right, witness=witness(left, right))
+
+
+def check_conjecture1(lam: Partition, mu: Partition, *, require_near_rectangular: bool = True) -> Verdict:
+    """Multiset equality of positive coefficient histograms for lam vs lam-dagger."""
+    return compare("conj1", lam, mu, require_near_rectangular=require_near_rectangular)
 
 
 def check_conjecture2(lam: Partition, mu: Partition, *, require_near_rectangular: bool = True) -> Verdict:
     """Equality of the number of distinct isotypic components only."""
-    if lam.n != mu.n:
-        raise ValueError("rank mismatch")
-    if require_near_rectangular and not is_near_rectangular(lam):
-        return Verdict(SKIP, "conj2", lam, mu, witness="lambda is not near-rectangular")
-    left = multiplicity_multiset(lam, mu).components
-    right = multiplicity_multiset(lambda_dagger(lam), mu).components
-    if left == right:
-        return Verdict(PASS, "conj2", lam, mu, left, right)
-    return Verdict(FAIL, "conj2", lam, mu, left, right,
-                   witness=f"component counts {left} != {right}")
+    return compare("conj2", lam, mu, require_near_rectangular=require_near_rectangular)
 
 
 def cz_sum_check(lam: Partition, mu: Partition) -> Verdict:
     """Sum-of-multiplicities identity; holds with no hypothesis on lam."""
-    if lam.n != mu.n:
-        raise ValueError("rank mismatch")
-    left = multiplicity_multiset(lam, mu).mult_sum
-    right = multiplicity_multiset(lambda_dagger(lam), mu).mult_sum
-    if left == right:
-        return Verdict(PASS, "cz_sum", lam, mu, left, right)
-    return Verdict(FAIL, "cz_sum", lam, mu, left, right,
-                   witness=f"multiplicity sums {left} != {right}")
+    return compare("cz_sum", lam, mu)
 
 
 def reproduce_gl5_counterexample() -> Verdict:
@@ -116,12 +119,11 @@ def reproduce_gl5_counterexample() -> Verdict:
     """
     lam = Partition((3, 3, 2, 0, 0))
     mu = Partition((4, 4, 1, 0, 0))
-    left = multiplicity_multiset(lam, mu).components
-    right = multiplicity_multiset(lambda_dagger(lam), mu).components
-    if (left, right) == (34, 33):
-        return Verdict(PASS, "repro-gl5", lam, mu, left, right)
-    return Verdict(FAIL, "repro-gl5", lam, mu, left, right,
-                   witness=f"expected counts (34, 33), got ({left}, {right})")
+    v = compare("conj2", lam, mu, require_near_rectangular=False)
+    if (v.left, v.right) == (34, 33):
+        return Verdict(PASS, "repro-gl5", lam, mu, v.left, v.right)
+    return Verdict(FAIL, "repro-gl5", lam, mu, v.left, v.right,
+                   witness=f"expected counts (34, 33), got ({v.left}, {v.right})")
 
 
 def stability_check(lam1: int, lam2: int, mu1: int, mu2: int,
@@ -171,7 +173,6 @@ class SweepConfig:
     output_format: str = "json"  # json | csv
     extra_cases: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
     expected_fail_lambdas: tuple[tuple[int, ...], ...] = ()
-    include_timing: bool = False
 
     def __post_init__(self):
         if self.n < 2:
@@ -199,19 +200,14 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "SweepConfig":
-        return cls(
-            n=d["n"],
-            max_nr=d["max_nr"],
-            max_mu_size=d["max_mu_size"],
-            check=d["check"],
-            jobs=d.get("jobs", 1),
-            output_path=d.get("output_path"),
-            output_format=d.get("output_format", "json"),
-            extra_cases=tuple(
-                (tuple(l), tuple(m)) for l, m in d.get("extra_cases", [])
-            ),
-            expected_fail_lambdas=tuple(tuple(l) for l in d.get("expected_fail_lambdas", [])),
-        )
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown sweep config key(s): {', '.join(map(repr, unknown))}")
+        return cls(**dict(
+            d,
+            extra_cases=tuple((tuple(l), tuple(m)) for l, m in d.get("extra_cases", ())),
+            expected_fail_lambdas=tuple(tuple(l) for l in d.get("expected_fail_lambdas", ())),
+        ))
 
 
 @dataclass(frozen=True)
@@ -292,38 +288,24 @@ def sweep_cases(config: SweepConfig) -> list[tuple[Partition, Partition]]:
     return cases
 
 
-def _run_case(args) -> Verdict:
-    check, lam_parts, mu_parts, timing = args
-    lam, mu = Partition(lam_parts), Partition(mu_parts)
-    start = perf_counter()
-    if check == "conj1":
-        v = check_conjecture1(lam, mu, require_near_rectangular=False)
-    elif check == "conj2":
-        v = check_conjecture2(lam, mu, require_near_rectangular=False)
-    else:
-        v = cz_sum_check(lam, mu)
-    if timing:
-        v = replace(v, micros=int((perf_counter() - start) * 1e6))
-    return v
-
-
 def sweep(config: SweepConfig, version: str = "0") -> VerificationReport:
     """Run the configured check over the whole grid.
 
-    Case order is canonical and the report is byte-identical across runs
-    unless ``include_timing`` is set (timings default to 0 for determinism).
+    lam-dagger of grid point (a, b) is grid point (b, a), so each distinct
+    (lam, mu) histogram is computed once, over ``jobs`` processes.  Case
+    order is canonical and the report is byte-identical across runs.
     """
-    start = perf_counter()
-    work = [
-        (config.check, lam.parts, mu.parts, config.include_timing)
-        for lam, mu in sweep_cases(config)
-    ]
+    cases = sweep_cases(config)
+    pairs = list(dict.fromkeys(
+        pair for lam, mu in cases for pair in ((lam, mu), (lambda_dagger(lam), mu))))
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            verdicts = tuple(pool.map(_run_case, work, chunksize=8))
+            found = list(pool.map(multiplicity_multiset, *zip(*pairs), chunksize=8))
     else:
-        verdicts = tuple(_run_case(w) for w in work)
-    elapsed = int((perf_counter() - start) * 1e6) if config.include_timing else 0
-    report = VerificationReport(config, verdicts, version, elapsed)
+        found = [multiplicity_multiset(lam, mu) for lam, mu in pairs]
+    histograms = dict(zip(pairs, found))
+    verdicts = tuple(compare(config.check, lam, mu, require_near_rectangular=False,
+                             histogram=lambda *pair: histograms[pair]) for lam, mu in cases)
+    report = VerificationReport(config, verdicts, version)
     report.write()
     return report

@@ -136,6 +136,49 @@ def test_sweep_config_file(capsys, tmp_path):
     assert json.loads(out)["summary"]["fails"] == 0
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["conj1", "--lambda", "3,3,2", "--mu", "4,4,1", "--n", "5", "--json"],
+     '{"check": "conj1", "lambda": [3, 3, 2, 0, 0], "left": null, "micros": 0, '
+     '"mu": [4, 4, 1, 0, 0], "n": 5, "right": null, "status": "SKIP", '
+     '"witness": "lambda is not near-rectangular"}'),
+    (["conj1", "--lambda", "5,3", "--mu", "6,3", "--n", "3", "--json"],
+     '{"check": "conj1", "lambda": [5, 3, 0], "left": {"1": 11, "2": 7, "3": 3}, "micros": 0, '
+     '"mu": [6, 3, 0], "n": 3, "right": {"1": 11, "2": 7, "3": 3}, "status": "PASS", '
+     '"witness": null}'),
+    (["conj2", "--lambda", "3,3,2", "--mu", "4,4,1", "--n", "5"],
+     "SKIP conj2 lambda=3,3,2,0,0 mu=4,4,1,0,0 (lambda is not near-rectangular)"),
+    (["czsum", "--lambda", "3,3,2", "--mu", "4,4,1", "--n", "5", "--json"],
+     '{"check": "cz_sum", "lambda": [3, 3, 2, 0, 0], "left": 42, "micros": 0, '
+     '"mu": [4, 4, 1, 0, 0], "n": 5, "right": 42, "status": "PASS", "witness": null}'),
+    (["repro-gl5", "--json"],
+     '{"check": "repro-gl5", "lambda": [3, 3, 2, 0, 0], "left": 34, "micros": 0, '
+     '"mu": [4, 4, 1, 0, 0], "n": 5, "right": 33, "status": "PASS", "witness": null}'),
+])
+def test_compare_output_exact(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["piecewise", "--family", "gl3"],
+    ["piecewise", "--family", "gl4nr-samples", "--dump"],
+    ["stability", "--lam1", "2", "--lam2", "1", "--mu1", "2", "--mu2", "1", "--nu", "4,2,2"],
+    ["sweep", "--n", "4", "--max-nr", "1"],
+    ["sweep", "--config", "{config}", "--jobs", "2"],
+    ["sweep", "--config", "{config}", "--n", "9"],
+    ["sweep", "--config", "{config}", "--format", "csv"],
+    ["sweep", "--config", "{unknown_key}"],
+])
+def test_usage_errors_exit_2(capsys, tmp_path, argv):
+    cfg = {"n": 4, "max_nr": 1, "max_mu_size": 2, "check": "conj1"}
+    paths = {"config": tmp_path / "cfg.json", "unknown_key": tmp_path / "bogus.json"}
+    paths["config"].write_text(json.dumps(cfg))
+    paths["unknown_key"].write_text(json.dumps({**cfg, "bogus": 1}))
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lr", "--lambda", "5,3", "--mu", "6,3", "--n", "3"])  # missing --nu

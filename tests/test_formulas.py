@@ -25,11 +25,17 @@ def test_gl3_interval_worked_example():
     assert gl3_coefficient(lam, mu, Partition((9, 8, 0))) == 1
     assert gl3_coefficient(lam, mu, Partition((7, 6, 4))) == 2
     assert gl3_coefficient(lam, mu, Partition((11, 3, 3))) == 1
+    assert gl3_interval(lam, mu, Partition((8, 6, 2))).cardinality == 2
+    assert gl3_coefficient(lam, mu, Partition((8, 6, 2))) == 0  # |nu| != |lam| + |mu|
 
 
 def test_gl3_requires_reduced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="last part 0"):
         gl3_coefficient(Partition((5, 3, 1)), Partition((6, 3, 0)), Partition((9, 6, 3)))
+    with pytest.raises(ValueError, match="last part 0"):  # |nu| != |lam| + |mu| too
+        gl3_coefficient(Partition((5, 3, 1)), Partition((6, 3, 0)), Partition((1, 0, 0)))
+    with pytest.raises(ValueError, match="rank must be 3"):
+        gl3_coefficient(Partition((5, 3, 0, 0)), Partition((6, 3, 0, 0)), Partition((9, 6, 3, 0)))
 
 
 @given(st.tuples(*[st.integers(0, 6)] * 4))

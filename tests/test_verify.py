@@ -1,9 +1,12 @@
 """Tests for conjecture checks, the counterexample, and sweeps."""
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from lrhive import verify
 from lrhive.partitions import Partition
 from lrhive.verify import (
     FAIL,
@@ -83,6 +86,13 @@ def test_stability_check():
         stability_check(2, 1, 2, 1, (4, 2, 2, 0), (3, 4))  # rank below 4
 
 
+def test_sweep_config_rejects_unknown_keys():
+    cfg = SweepConfig(n=4, max_nr=1, max_mu_size=2, check="conj1").as_json()
+    for key in ("bogus", "include_timing"):
+        with pytest.raises(ValueError, match=repr(key)):
+            SweepConfig.from_json({**cfg, key: 1})
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(n=4, max_nr=2, max_mu_size=4, check="bogus")
@@ -128,11 +138,15 @@ def test_sweep_injected_counterexample():
     assert report.unexpected_fails == 0
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    base = dict(n=4, max_nr=1, max_mu_size=3, check="conj1")
-    serial = sweep(SweepConfig(**base))
-    parallel = sweep(SweepConfig(**base, jobs=2))
-    assert [v.as_json() for v in serial.verdicts] == [v.as_json() for v in parallel.verdicts]
+INJECTED = (((3, 3, 2, 0, 0), (4, 4, 1, 0, 0)),)  # the rank-5 counterexample pair
+
+
+def test_sweep_parallel_matches_serial():
+    for base in (dict(n=4, max_nr=1, max_mu_size=3, check="conj1"),
+                 dict(n=5, max_nr=1, max_mu_size=2, check="conj2", extra_cases=INJECTED)):
+        serial = sweep(SweepConfig(**base))
+        parallel = sweep(SweepConfig(**base, jobs=2))
+        assert [v.as_json() for v in serial.verdicts] == [v.as_json() for v in parallel.verdicts]
 
 
 def test_sweep_output_files(tmp_path):
@@ -146,3 +160,59 @@ def test_sweep_output_files(tmp_path):
             assert data["summary"]["fails"] == 0
         else:
             assert text.splitlines()[0].startswith("lambda,mu,n,check,status")
+
+
+# sha256 of to_json_text() and to_csv_text(); report bytes change only on purpose.
+PINNED_REPORTS = [
+    (dict(n=4, max_nr=1, max_mu_size=3, check="conj1"),
+     "2b335166b0d6f919615cd207321c4f7393c92d77c812b230804635f12397d757",
+     "6e81190fe24c41bb8780b769588dfd28213d9893730ddc4c8156410165779387"),
+    (dict(n=4, max_nr=1, max_mu_size=3, check="conj2"),
+     "58b3839a672b75ded79b90e10c54b0cff9ab3eb10ac4746f0c21d4d679fbe6a5",
+     "35c02db9c92e802d45b8f09566ac4d5d411b6892a45f824504ca14c30bc9d1ac"),
+    (dict(n=4, max_nr=1, max_mu_size=3, check="cz_sum"),
+     "d2f1017b9be5e7e357a12340d99ec2ebb71f970c512821fc0bd81037b56fb038",
+     "5859918078f0cbf4a3a9ea8aa7e0078fc50e8a7c165f122aa4ab8fb20c9f79a9"),
+    (dict(n=5, max_nr=1, max_mu_size=2, check="conj1", extra_cases=INJECTED),
+     "7e179eb272e4314b2a100ffbf7c4991699e441906652a5f67d5536d688da9fb9",
+     "f3dc8ecdd2df7dc1bb986da493f1248b40cc875864060464cbf58d61686fa18e"),
+    (dict(n=5, max_nr=1, max_mu_size=2, check="conj2", extra_cases=INJECTED),
+     "e89050dfd57918337a4bb44cb3033d747764e0825f81d66f7f87d9c26448de2b",
+     "8c178e235ab453d10686806abe8f91f2e5359a13a86dd804f66ab6c36a366382"),
+]
+
+
+@pytest.mark.parametrize("kwargs, json_sha, csv_sha", PINNED_REPORTS)
+def test_sweep_report_bytes_pinned(kwargs, json_sha, csv_sha):
+    report = sweep(SweepConfig(**kwargs))
+    assert hashlib.sha256(report.to_json_text().encode()).hexdigest() == json_sha
+    assert hashlib.sha256(report.to_csv_text().encode()).hexdigest() == csv_sha
+
+
+@pytest.mark.parametrize("check", ["conj1", "conj2", "cz_sum"])
+def test_sweep_verdicts_match_per_case_checks(check):
+    cfg = SweepConfig(n=5, max_nr=1, max_mu_size=2, check=check, extra_cases=INJECTED)
+    single = {
+        "conj1": lambda lam, mu: check_conjecture1(lam, mu, require_near_rectangular=False),
+        "conj2": lambda lam, mu: check_conjecture2(lam, mu, require_near_rectangular=False),
+        "cz_sum": cz_sum_check,
+    }[check]
+    assert list(sweep(cfg).verdicts) == [single(lam, mu) for lam, mu in sweep_cases(cfg)]
+
+
+def test_sweep_computes_each_distinct_histogram_once(monkeypatch):
+    calls = Counter()
+    computed = verify.multiplicity_multiset
+
+    def counting(lam, mu):
+        calls[lam, mu] += 1
+        return computed(lam, mu)
+
+    monkeypatch.setattr(verify, "multiplicity_multiset", counting)
+    cfg = SweepConfig(n=4, max_nr=2, max_mu_size=3, check="conj1")
+    cases = sweep_cases(cfg)
+    assert sweep(cfg).passes == len(cases)
+    distinct = {pair for lam, mu in cases for pair in ((lam, mu), (lambda_dagger(lam), mu))}
+    assert calls == Counter(distinct)
+    # lam-dagger of a grid point is a grid point: half of the 2 * cases pairs repeat
+    assert len(distinct) == len(cases)
