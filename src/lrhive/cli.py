@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit status: 0 on success, 1 when a verification verdict FAILs (or a
-piecewise verify scan finds a mismatch), 2 on usage errors.
+piecewise verify scan finds a mismatch), 2 on usage errors, 3 when the
+program itself fails (one ``internal error:`` line, no traceback).
 """
 
 from __future__ import annotations
@@ -233,16 +234,19 @@ def _cmd_sweep(args) -> int:
     inline = {"n": args.n, "max_nr": args.max_nr, "max_mu_size": args.max_mu, "check": args.check,
               "jobs": args.jobs, "output_path": args.output, "output_format": args.format}
     given = {k: v for k, v in inline.items() if v is not None}
-    if args.config:
-        if given:
-            raise ValueError("use either --config or inline flags, not both")
-        with open(args.config) as fh:
-            config = SweepConfig.from_json(json.load(fh))
-    elif not {"n", "max_nr", "max_mu_size", "check"} <= given.keys():
+    if args.config and given:
+        raise ValueError("use either --config or inline flags, not both")
+    if not args.config and not {"n", "max_nr", "max_mu_size", "check"} <= given.keys():
         raise ValueError("sweep needs --config or all of --n --max-nr --max-mu --check")
-    else:
-        config = SweepConfig(**given)
-    report = sweep(config, version=f"{__version__}+t{TABLES_REVISION}")
+    try:  # an unreadable --config or an unwritable report path is a usage error
+        if args.config:
+            with open(args.config) as fh:
+                config = SweepConfig.from_json(json.load(fh))
+        else:
+            config = SweepConfig(**given)
+        report = sweep(config, version=f"{__version__}+t{TABLES_REVISION}")
+    except OSError as exc:
+        raise ValueError(f"{exc.strerror}: {exc.filename}") from exc
     if args.json:
         print(report.to_json_text(), end="")
     else:
@@ -272,6 +276,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a verdict: keep it apart from exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

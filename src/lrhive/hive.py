@@ -15,6 +15,7 @@ coefficient c_{lam,mu}^nu (Knutson-Tao).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .partitions import Partition, is_near_rectangular
 
@@ -44,9 +45,7 @@ class RhombusConstraint:
 
 
 def rhombus_constraints(n: int) -> list[RhombusConstraint]:
-    """All 3*n*(n-1)/2 rhombus constraints for size n."""
-    if n < 2:
-        raise ValueError("hive size must be >= 2")
+    """All 3*n*(n-1)/2 rhombus constraints for size n (none for n = 1)."""
     out = []
     for i in range(1, n):
         for j in range(i):
@@ -110,94 +109,86 @@ def _common_rank(*parts: Partition) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
 def _search_plan(n: int):
-    """Interior vertices in row-major order plus, per vertex, the bound rules
-    from every constraint whose other three vertices are set by then."""
-    interior = [(i, j) for i in range(2, n) for j in range(1, i)]
+    """The search order and bound rules for size n, as vertex numbers.
+
+    Vertex (i, j) is number i*(i+1)//2 + j (row-major from the apex).
+    Returns the interior vertices in row-major order; for each of them the
+    lower rules (u, w, o), meaning label >= label[u] + label[w] - label[o],
+    and the upper rules, meaning label <= the same sum, taken from every
+    constraint whose other three vertices are set by then; and the
+    constraints (b, c, a, d), meaning b + c >= a + d, that involve no
+    interior vertex.
+    """
+    def num(v: Vertex) -> int:
+        return v[0] * (v[0] + 1) // 2 + v[1]
+
+    interior = [num((i, j)) for i in range(2, n) for j in range(1, i)]
     order = {v: t for t, v in enumerate(interior)}
-    rules: list[list[tuple[bool, Vertex, Vertex, Vertex]]] = [[] for _ in interior]
+    lower: list[list[tuple[int, int, int]]] = [[] for _ in interior]
+    upper: list[list[tuple[int, int, int]]] = [[] for _ in interior]
+    boundary_only = []
     for c in rhombus_constraints(n):
-        ranked = [(order.get(v, -1), v) for v in c.vertices]
-        last = max(ranked)
-        if last[0] < 0:
-            continue  # pure-boundary constraint, checked once up front
-        v = last[1]
-        b, cc = c.pos
-        a, d = c.neg
-        if v == b or v == cc:
-            other = cc if v == b else b
-            rules[last[0]].append((True, a, d, other))  # v >= a + d - other
+        b, cc, a, d = map(num, c.vertices)
+        t, v = max((order.get(u, -1), u) for u in (b, cc, a, d))
+        if t < 0:
+            boundary_only.append((b, cc, a, d))
+        elif v in (b, cc):
+            lower[t].append((a, d, cc if v == b else b))
         else:
-            other = d if v == a else a
-            rules[last[0]].append((False, b, cc, other))  # v <= b + c - other
-    boundary_only = [
-        c for c in rhombus_constraints(n) if all(v not in order for v in c.vertices)
-    ]
-    return interior, rules, boundary_only
+            upper[t].append((b, cc, d if v == a else a))
+    if not all(lower) or not all(upper):
+        raise RuntimeError("interior vertex with a one-sided bound; search plan is broken")
+    return tuple(interior), tuple(map(tuple, lower)), tuple(map(tuple, upper)), tuple(boundary_only)
 
 
-_PLAN_CACHE: dict[int, tuple] = {}
+def _search(lam: Partition, mu: Partition, nu: Partition):
+    """Depth-first search over the hives with the given boundary.
 
-
-def _plan(n: int):
-    if n not in _PLAN_CACHE:
-        _PLAN_CACHE[n] = _search_plan(n)
-    return _PLAN_CACHE[n]
-
-
-def _count(lam: Partition, mu: Partition, nu: Partition, collect: list | None):
-    n = lam.n
+    Yields (label, v, lo, hi) for every labeling of all interior vertices
+    but the last one, v, that leaves v a nonempty range [lo, hi].  ``label``
+    is the flat list of labels by vertex number, reused between yields.
+    With no interior vertex, the apex (label 0) stands in for v.
+    """
+    n = _common_rank(lam, mu, nu)
     if nu.size != lam.size + mu.size:
-        return 0
-    if n == 1:
-        return 1
-    rows = hive_boundary(lam, mu, nu)
-    interior, rules, boundary_only = _plan(n)
-    label = {}
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x is not None:
-                label[(i, j)] = x
-    if not all(c.holds(label) for c in boundary_only):
-        return 0
-
-    last = len(interior) - 1
-
-    def rec(t: int) -> int:
-        lo, hi = None, None
-        for is_lower, u, w, other in rules[t]:
-            bound = label[u] + label[w] - label[other]
-            if is_lower:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-        if lo is None or hi is None:
-            raise RuntimeError("interior vertex with a one-sided bound; search plan is broken")
-        if lo > hi:
-            return 0
-        if t == last and collect is None:
-            return hi - lo + 1
-        v = interior[t]
-        total = 0
-        for x in range(lo, hi + 1):
-            label[v] = x
-            if t == last:
-                total += 1
-                if collect is not None:
-                    full = [list(row) for row in rows]
-                    for (i, j), val in label.items():
-                        full[i][j] = val
-                    collect.append(Hive(tuple(tuple(r) for r in full)))
-            else:
-                total += rec(t + 1)
-        del label[v]
-        return total
-
+        return
+    label = [x for row in hive_boundary(lam, mu, nu) for x in row]
+    interior, lower, upper, boundary_only = _search_plan(n)
+    for b, c, a, d in boundary_only:
+        if label[b] + label[c] < label[a] + label[d]:
+            return
     if not interior:
-        if collect is not None:
-            collect.append(Hive(tuple(tuple(r) for r in rows)))
-        return 1
-    return rec(0)
+        yield label, 0, 0, 0
+        return
+    last = len(interior) - 1
+    highs = [0] * len(interior)  # upper bound of the vertex at each depth
+    t = 0
+    while t >= 0:
+        lo = hi = None
+        for u, w, o in lower[t]:
+            x = label[u] + label[w] - label[o]
+            if lo is None or x > lo:
+                lo = x
+        for u, w, o in upper[t]:
+            x = label[u] + label[w] - label[o]
+            if hi is None or x < hi:
+                hi = x
+        if lo <= hi:
+            if t < last:
+                label[interior[t]] = lo
+                highs[t] = hi
+                t += 1
+                continue
+            yield label, interior[t], lo, hi
+        # backtrack to the deepest vertex that can still go up by one
+        t -= 1
+        while t >= 0 and label[interior[t]] == highs[t]:
+            t -= 1
+        if t >= 0:
+            label[interior[t]] += 1
+            t += 1
 
 
 def count_hives(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -206,15 +197,21 @@ def count_hives(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     Returns 0 immediately on unbalanced input.
     """
-    _common_rank(lam, mu, nu)
-    return _count(lam, mu, nu, None)
+    total = 0
+    for _, _, lo, hi in _search(lam, mu, nu):
+        total += hi - lo + 1
+    return total
 
 
 def enumerate_hives(lam: Partition, mu: Partition, nu: Partition) -> list[Hive]:
     """Materialize every hive with the given boundary."""
-    _common_rank(lam, mu, nu)
+    starts = range(lam.n + 1)
     out: list[Hive] = []
-    _count(lam, mu, nu, out)
+    for label, v, lo, hi in _search(lam, mu, nu):
+        for x in range(lo, hi + 1):
+            label[v] = x
+            out.append(Hive(tuple(
+                tuple(label[i * (i + 1) // 2:(i + 1) * (i + 2) // 2]) for i in starts)))
     return out
 
 

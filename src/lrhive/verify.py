@@ -14,7 +14,7 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 
 from .formulas import nr_coefficient
@@ -175,6 +175,9 @@ class SweepConfig:
     expected_fail_lambdas: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
+        for name in ("n", "max_nr", "max_mu_size", "jobs"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.n < 2:
             raise ValueError("rank must be >= 2")
         if self.max_nr < 0 or self.max_mu_size < 0:
@@ -200,9 +203,14 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "SweepConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"sweep config must be a JSON object, not {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown sweep config key(s): {', '.join(map(repr, unknown))}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"missing sweep config key(s): {', '.join(map(repr, missing))}")
         return cls(**dict(
             d,
             extra_cases=tuple((tuple(l), tuple(m)) for l, m in d.get("extra_cases", ())),

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrhive.cli import main
+from lrhive.cli import FAMILIES, main
+from lrhive.coefficients import METHODS
 
 
 def run(capsys, *argv):
@@ -167,16 +172,32 @@ def test_compare_output_exact(capsys, argv, expected):
     ["sweep", "--config", "{config}", "--n", "9"],
     ["sweep", "--config", "{config}", "--format", "csv"],
     ["sweep", "--config", "{unknown_key}"],
+    ["sweep", "--config", "{missing_keys}"],
+    ["sweep", "--config", "{scalar}"],
+    ["sweep", "--config", "{array}"],
+    ["sweep", "--config", "{absent}"],
+    ["sweep", "--config", "{string_n}"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
     cfg = {"n": 4, "max_nr": 1, "max_mu_size": 2, "check": "conj1"}
-    paths = {"config": tmp_path / "cfg.json", "unknown_key": tmp_path / "bogus.json"}
-    paths["config"].write_text(json.dumps(cfg))
-    paths["unknown_key"].write_text(json.dumps({**cfg, "bogus": 1}))
+    files = {"config": cfg, "unknown_key": {**cfg, "bogus": 1}, "missing_keys": {"n": 4},
+             "scalar": 5, "array": [1], "string_n": {**cfg, "n": "4"}}
+    paths = {name: tmp_path / f"{name}.json" for name in [*files, "absent"]}
+    for name, content in files.items():
+        paths[name].write_text(json.dumps(content))
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("lrhive.cli.lr_coefficient", broken)
+    code = main(["lr", "--lambda", "1", "--mu", "1", "--nu", "2", "--n", "2"])
+    assert (code, capsys.readouterr()) == (3, ("", "internal error: RuntimeError: boom\n"))
 
 
 def test_usage_errors(capsys):
@@ -195,3 +216,64 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "tables revision" in capsys.readouterr().out
+
+
+def _joined(parts):
+    return ",".join(map(str, parts))
+
+
+# Mostly well-formed values, so that most runs get past argument parsing.
+_INT = st.sampled_from(["3", "4", "2", "1", "0", "-1", "x"])
+_PARTS = st.one_of(
+    st.lists(st.integers(0, 3), max_size=4).map(lambda xs: _joined(sorted(xs, reverse=True))),
+    st.lists(st.integers(-1, 3), max_size=4).map(_joined) | st.sampled_from(["x", "1,,2"]),
+)
+_PAIR = {"--lambda": _PARTS, "--mu": _PARTS, "--n": _INT}
+_TRIPLE = {**_PAIR, "--nu": _PARTS}
+_JSON = {"--json": None}
+# Every subcommand with its required flags, which are always given, and its
+# optional ones; None marks a flag without a value.  Small values keep each
+# run fast; --output is left out so nothing is written.
+_FLAGS = {
+    "lr": (_TRIPLE, {"--method": st.sampled_from([*METHODS, "bogus"]), **_JSON}),
+    "multiset": (_PAIR, _JSON),
+    "conj1": (_PAIR, _JSON),
+    "conj2": (_PAIR, _JSON),
+    "czsum": (_PAIR, _JSON),
+    "stability": ({**dict.fromkeys(("--lam1", "--lam2", "--mu1", "--mu2"), _INT), "--nu": _PARTS},
+                  {"--ranks": _PARTS, **_JSON}),
+    "horn": ({**_TRIPLE, "--family": st.sampled_from(["nr", "nr2", "bogus"])},
+             {"--generators": None, **_JSON}),
+    "piecewise": ({"--family": st.sampled_from([*FAMILIES, "bogus"])},
+                  {"--point": _PARTS, "--verify-range": _INT, "--dump": None, **_JSON}),
+    "sweep": ({}, {"--config": st.sampled_from(["absent.json", "."]),
+                   **dict.fromkeys(("--n", "--max-nr", "--max-mu"), _INT),
+                   "--check": st.sampled_from(["conj1", "conj2", "cz_sum", "bogus"]),
+                   "--jobs": st.sampled_from(["-1", "0", "1", "x"]),
+                   "--format": st.sampled_from(["json", "csv", "bogus"]), **_JSON}),
+    "repro-gl5": ({}, _JSON),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional = _FLAGS[command]
+    argv = [command]
+    for flag, value in {**required, **optional}.items():
+        if flag in required or draw(st.booleans()):
+            argv += [flag] if value is None else [flag, draw(value)]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_cli_exit_status_property(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrhive.cli import main
 from lrhive.hive import (
     Hive,
     count_hives,
@@ -13,6 +14,7 @@ from lrhive.hive import (
     rhombus_constraints,
 )
 from lrhive.partitions import Partition, partitions_of
+from lrhive.piecewise import multiplicity_multiset
 
 
 def test_constraint_count():
@@ -57,14 +59,44 @@ def test_worked_example_count():
 
 
 def test_enumerate_matches_count_and_validates():
-    lam, mu = Partition((5, 3, 0)), Partition((6, 3, 0))
-    nu = Partition((8, 6, 3))
-    hives = enumerate_hives(lam, mu, nu)
-    assert len(hives) == count_hives(lam, mu, nu) == 3
-    assert len(set(hives)) == 3
-    for h in hives:
-        assert h.is_valid()
-        assert h.boundary() == (lam, mu, nu)
+    for lam, mu, nu, count in [
+        ((2,), (1,), (3,), 1),  # rank 1: the boundary is the whole hive
+        ((2, 1), (1, 0), (3, 1), 1),  # rank 2: no interior vertex either
+        ((2, 1), (1, 0), (2, 2), 1),
+        ((2, 1), (1, 0), (4, 0), 0),  # only the boundary-only rhombi rule it out
+        ((5, 3, 0), (6, 3, 0), (8, 6, 3), 3),
+        ((3, 2, 1, 0), (3, 1, 1, 0), (5, 3, 2, 1), 3),
+        ((3, 2, 1, 0), (3, 1, 1, 0), (5, 5, 1, 0), 0),  # nu contains lam and mu
+        ((4, 2, 1, 0, 0), (3, 2, 1, 0, 0), (6, 4, 2, 1, 0), 4),
+    ]:
+        lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+        hives = enumerate_hives(lam, mu, nu)
+        assert len(hives) == len(set(hives)) == count_hives(lam, mu, nu) == count
+        for h in hives:
+            assert h.is_valid()
+            assert h.boundary() == (lam, mu, nu)
+    assert enumerate_hives(Partition((2,)), Partition((1,)), Partition((3,))) == [
+        Hive(((0,), (2, 3)))]
+
+
+def test_search_has_no_depth_limit(capsys):
+    """The DFS keeps its own stack: (n-1)(n-2)/2 = 1176 interior vertices at
+    n = 50, far past Python's recursion limit."""
+    n = 50
+    one = Partition((1,) + (0,) * (n - 1))
+    assert count_hives(one, one, Partition((2,) + (0,) * (n - 1))) == 1
+    assert count_hives(one, one, Partition((1, 1) + (0,) * (n - 2))) == 1
+    for argv in (["--method", "hive", "--lambda", "1", "--mu", "1", "--nu", "2"],
+                 ["--lambda", "2,1", "--mu", "1", "--nu", "3,1"]):
+        assert main(["lr", *argv, "--n", str(n)]) == 0
+        assert capsys.readouterr() == ("1\n", "")
+
+
+def test_multiset_pinned_rank6():
+    """ROADMAP baseline 1, checked against the tableaux oracle by the
+    multiset-hive benchmark."""
+    ms = multiplicity_multiset(Partition((8, 5, 3, 1, 0, 0)), Partition((6, 4, 2, 1, 0, 0)))
+    assert (ms.components, ms.mult_sum) == (648, 7849)
 
 
 def test_enumerated_hives_are_exactly_the_valid_labelings():

@@ -98,6 +98,8 @@ def test_sweep_config_validation():
         SweepConfig(n=4, max_nr=2, max_mu_size=4, check="bogus")
     with pytest.raises(ValueError):
         SweepConfig(n=4, max_nr=-1, max_mu_size=4, check="conj1")
+    with pytest.raises(ValueError, match="missing .*'max_nr', 'max_mu_size', 'check'"):
+        SweepConfig.from_json({"n": 4})
     cfg = SweepConfig(n=4, max_nr=1, max_mu_size=2, check="conj1")
     assert SweepConfig.from_json(cfg.as_json()) == cfg
 
