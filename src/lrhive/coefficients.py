@@ -15,7 +15,8 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition, method: str = "
     """c_{lam,mu}^nu.
 
     ``auto`` bar-reduces lam and mu (shifting nu accordingly), then picks the
-    fastest applicable closed form, falling back to hive enumeration.
+    fastest applicable closed form, falling back to hive enumeration.  Every
+    backend returns 0 on an unbalanced triple (|nu| != |lam| + |mu|).
     """
     if not (lam.n == mu.n == nu.n):
         raise ValueError("rank mismatch")
@@ -37,8 +38,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition, method: str = "
             return 0
         lam, mu = bar_reduce(lam), bar_reduce(mu)
         nu = Partition(tuple(p - shift for p in nu))
-    if nu.size != lam.size + mu.size:
-        return 0
     if n == 3:
         return gl3_coefficient(lam, mu, nu)
     if n >= 4 and is_near_rectangular(lam) and is_near_rectangular(mu):

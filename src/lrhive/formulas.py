@@ -8,9 +8,8 @@ self-dual component counts for the self-dual family (2k, k^{n-2}, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .partitions import Partition, is_near_rectangular
+from .partitions import Partition, is_near_rectangular, padded
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def nr_support(lam: Partition, mu: Partition) -> list[tuple[Partition, int]]:
                 nn = free_sum - n1 - n2 - nl
                 if nn < 0 or nn > nl:
                     continue
-                nu = Partition((n1, n2) + (mid,) * (n - 4) + (nl, nn))
+                nu = padded((n1, n2), mid, (nl, nn), n)
                 coeff = nr_coefficient(lam, mu, nu)
                 if coeff > 0:
                     out.append((nu, coeff))
@@ -159,22 +158,13 @@ def isotypic_count_selfdual_family(k: int, l: int) -> int:
         k, l = l, k
     if 2 * l <= k:
         return l**3 + 3 * l**2 + 3 * l + 1
-    k_, l_ = Fraction(k), Fraction(l)
-    value = (
-        Fraction(1, 3) * k_**3
-        - 2 * k_**2 * l_
-        + 4 * k_ * l_**2
-        - Fraction(5, 3) * l_**3
-        - k_**2
-        + 4 * k_ * l_
-        - l_**2
-        + Fraction(2, 3) * k_
-        + Fraction(5, 3) * l_
-        + 1
-    )
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"component count formula gave {value} at (k,l)=({k},{l})")
-    return int(value)
+    # three times the cubic, so that every coefficient is an integer
+    triple = (k**3 - 6 * k**2 * l + 12 * k * l**2 - 5 * l**3
+              - 3 * k**2 + 12 * k * l - 3 * l**2 + 2 * k + 5 * l + 3)
+    value, rem = divmod(triple, 3)
+    if rem or value < 0:
+        raise ArithmeticError(f"component count formula gave {triple}/3 at (k,l)=({k},{l})")
+    return value
 
 
 def selfdual_component_count(k: int, l: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import Partition, is_near_rectangular
+from .partitions import Partition, is_near_rectangular, padded
 
 Vertex = tuple[int, int]
 
@@ -27,10 +27,9 @@ class RhombusConstraint:
     """One rhombus inequality b + c >= a + d.
 
     ``pos`` holds the vertices (b, c) on the short diagonal, ``neg`` the
-    opposite pair (a, d).  ``kind`` distinguishes the three orientations.
+    opposite pair (a, d).
     """
 
-    kind: str  # "R1" | "R2" | "R3"
     pos: tuple[Vertex, Vertex]
     neg: tuple[Vertex, Vertex]
 
@@ -50,12 +49,12 @@ def rhombus_constraints(n: int) -> list[RhombusConstraint]:
     for i in range(1, n):
         for j in range(i):
             # shared edge inside row i
-            out.append(RhombusConstraint("R1", ((i, j), (i, j + 1)), ((i - 1, j), (i + 1, j + 1))))
+            out.append(RhombusConstraint(((i, j), (i, j + 1)), ((i - 1, j), (i + 1, j + 1))))
             # shared edge between (i, j) and (i+1, j+1)
-            out.append(RhombusConstraint("R3", ((i, j), (i + 1, j + 1)), ((i + 1, j), (i, j + 1))))
+            out.append(RhombusConstraint(((i, j), (i + 1, j + 1)), ((i + 1, j), (i, j + 1))))
         for j in range(1, i + 1):
             # shared edge between (i, j) and (i+1, j)
-            out.append(RhombusConstraint("R2", ((i, j), (i + 1, j)), ((i, j - 1), (i + 1, j + 1))))
+            out.append(RhombusConstraint(((i, j), (i + 1, j)), ((i, j - 1), (i + 1, j + 1))))
     return out
 
 
@@ -65,12 +64,10 @@ def hive_boundary(lam: Partition, mu: Partition, nu: Partition) -> list[list[int
     if nu.size != lam.size + mu.size:
         raise ValueError(f"unbalanced triple: |nu|={nu.size} != |lam|+|mu|={lam.size + mu.size}")
     rows: list[list[int | None]] = [[None] * (i + 1) for i in range(n + 1)]
-    acc = 0
-    for i in range(n + 1):
-        rows[i][0] = acc if i == 0 else rows[i - 1][0] + lam[i - 1]
-    acc = 0
-    for i in range(n + 1):
-        rows[i][i] = acc if i == 0 else rows[i - 1][i - 1] + nu[i - 1]
+    rows[0][0] = 0
+    for i in range(1, n + 1):
+        rows[i][0] = rows[i - 1][0] + lam[i - 1]
+        rows[i][i] = rows[i - 1][i - 1] + nu[i - 1]
     for j in range(1, n):
         rows[n][j] = rows[n][j - 1] + mu[j - 1]
     return rows
@@ -236,9 +233,9 @@ def restrict_hive(h: Hive) -> Hive:
     if n == 4:
         return h
 
-    lam4 = Partition((lam[0], lam[1], lam[1], 0))
-    mu4 = Partition((mu[0], mu[1], mu[1], 0))
-    nu4 = Partition((nu[0], nu[1], nu[n - 2], nu[n - 1]))
+    lam4 = padded((lam[0],), lam[1], (0,), 4)
+    mu4 = padded((mu[0],), mu[1], (0,), 4)
+    nu4 = padded(nu.parts[:2], lam[1] + mu[1], nu.parts[n - 2:], 4)
     rows = hive_boundary(lam4, mu4, nu4)
     # The whole hive is pinned by the label next to the |lam| corner; shift it
     # by the middle parts dropped from the left edge.

@@ -100,10 +100,21 @@ class FundamentalCoords:
             raise ValueError("fundamental coordinates must be nonnegative")
 
 
+def padded(head: tuple[int, ...], middle: int, tail: tuple[int, ...], n: int) -> Partition:
+    """The rank-n partition head, middle^{n - len(head) - len(tail)}, tail.
+
+    The one padding rule for near-rectangular data: lam = padded((lam1,), lam2,
+    (0,), n) and the pinched nu = padded((nu1, nu2), lam2 + mu2, (nu3, nu4), n).
+    """
+    fill = n - len(head) - len(tail)
+    if fill < 0:
+        raise ValueError(f"{len(head)} + {len(tail)} fixed parts exceed rank {n}")
+    return Partition(head + (middle,) * fill + tail)
+
+
 def from_fundamental(coords: FundamentalCoords) -> Partition:
     """The near-rectangular partition (k1+k2, k2^{n-2}, 0)."""
-    k1, k2, n = coords.k1, coords.k2, coords.n
-    return Partition((k1 + k2,) + (k2,) * (n - 2) + (0,))
+    return padded((coords.k1 + coords.k2,), coords.k2, (0,), coords.n)
 
 
 def partitions_of(total: int, max_parts: int, max_first: int | None = None) -> Iterator[tuple[int, ...]]:

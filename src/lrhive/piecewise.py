@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from .coefficients import lr_coefficient
-from .partitions import Partition, enumerate_nu_candidates
+from .partitions import Partition, enumerate_nu_candidates, padded
 
 Rational = Fraction | int
 
@@ -58,9 +58,6 @@ class LinearForm:
         for v, c in self.coeffs:
             total += c * point[v]
         return total
-
-    def __call__(self, point: Mapping[str, int]) -> Fraction:
-        return Fraction(self.numerator_at(point), self.denominator)
 
     def permuted(self, perm: Mapping[str, str]) -> "LinearForm":
         coeffs = tuple(sorted((perm.get(v, v), c) for v, c in self.coeffs))
@@ -375,9 +372,7 @@ def count_above_enum(lam: Partition, mu: Partition, c: int, method: str = "auto"
     """#{nu : c_{lam,mu}^nu > c} by direct enumeration over candidates."""
     if c < 0:
         raise ValueError("threshold must be nonnegative")
-    return sum(
-        1 for nu in enumerate_nu_candidates(lam, mu) if lr_coefficient(lam, mu, nu, method) > c
-    )
+    return multiplicity_multiset(lam, mu, method).count_above(c)
 
 
 # ---------------------------------------------------------------------------
@@ -624,25 +619,21 @@ def family_function(family: str) -> PiecewiseFunction:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _nr_pair(point: Mapping[str, int], n: int) -> tuple[Partition, Partition]:
-    lam = Partition((point["k1"] + point["k2"],) + (point["k2"],) * (n - 2) + (0,))
-    mu = Partition((point["l1"] + point["l2"],) + (point["l2"],) * (n - 2) + (0,))
-    return lam, mu
+def _family_pair(family: str, point: Mapping[str, int]) -> tuple[Partition, Partition]:
+    """The (lam, mu) that a point of the family's table stands for."""
+    n = {"gl3": 3, "gl4nr2": 4, "gl4nr-samples": 4}.get(family)
+    if n is None:
+        raise ValueError(f"unknown family {family!r}")
+    lam = padded((point["k1"] + point["k2"],), point["k2"], (0,), n)
+    if family == "gl4nr-samples":
+        return lam, Partition((point["m1"], point["m2"], point["m3"], 0))
+    return lam, padded((point["l1"] + point["l2"],), point["l2"], (0,), n)
 
 
 def enum_value(family: str, point: Mapping[str, int]) -> int:
     """Enumeration ground truth for one table point."""
-    if family == "gl3":
-        lam, mu = _nr_pair(point, 3)
-        return count_above_enum(lam, mu, point["c"])
-    if family == "gl4nr2":
-        lam, mu = _nr_pair(point, 4)
-        return count_above_enum(lam, mu, point["c"])
-    if family == "gl4nr-samples":
-        lam = Partition((point["k1"] + point["k2"], point["k2"], point["k2"], 0))
-        mu = Partition((point["m1"], point["m2"], point["m3"], 0))
-        return count_above_enum(lam, mu, 0)
-    raise ValueError(f"unknown family {family!r}")
+    lam, mu = _family_pair(family, point)
+    return count_above_enum(lam, mu, 0 if family == "gl4nr-samples" else point["c"])
 
 
 def verify_family(family: str, bound: int):
@@ -672,9 +663,8 @@ def verify_family(family: str, bound: int):
                         return point, got, truth
         return None
     f = family_function(family)
-    rank = {"gl3": 3, "gl4nr2": 4}[family]
     for coords in product(range(bound + 1), repeat=len(f.variables) - 1):
-        histogram = multiplicity_multiset(*_nr_pair(point_of(f.variables, coords), rank))
+        histogram = multiplicity_multiset(*_family_pair(family, point_of(f.variables, coords)))
         for c in range(bound + 1):
             point = point_of(f.variables, coords + (c,))
             value, _ = f.evaluate(point)

@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 
 from .formulas import nr_coefficient
 from .hive import count_hives
-from .partitions import Partition, bar_reduce, dual_star, is_near_rectangular, partitions_of
+from .partitions import Partition, bar_reduce, dual_star, is_near_rectangular, padded, partitions_of
 from .piecewise import multiplicity_multiset
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
@@ -57,8 +56,8 @@ class Verdict:
 def _summary_json(value):
     if value is None or isinstance(value, int):
         return value
-    if hasattr(value, "as_dict"):  # MultiplicityMultiset
-        return {str(k): v for k, v in sorted(value.as_dict().items())}
+    if hasattr(value, "counts"):  # MultiplicityMultiset, counts sorted by value
+        return {str(k): v for k, v in value.counts}
     return str(value)
 
 
@@ -139,18 +138,13 @@ def stability_check(lam1: int, lam2: int, mu1: int, mu2: int,
     n_range = tuple(n_range)
     if not n_range or any(n < 4 or n > 8 for n in n_range):
         raise ValueError("n_range must lie within [4, 8]")
-    mid = lam2 + mu2
     n1, n2, n3, n4 = nu4
-    values = {}
-    formula = None
-    for n in n_range:
-        lam = Partition((lam1,) + (lam2,) * (n - 2) + (0,))
-        mu = Partition((mu1,) + (mu2,) * (n - 2) + (0,))
-        nu = Partition((n1, n2) + (mid,) * (n - 4) + (n3, n4))  # raises if malformed
-        values[n] = count_hives(lam, mu, nu)
-        formula = nr_coefficient(lam, mu, nu)
-    lam0 = Partition((lam1,) + (lam2,) * (n_range[0] - 2) + (0,))
-    mu0 = Partition((mu1,) + (mu2,) * (n_range[0] - 2) + (0,))
+    triples = [(padded((lam1,), lam2, (0,), n), padded((mu1,), mu2, (0,), n),
+                padded((n1, n2), lam2 + mu2, (n3, n4), n))  # raises if malformed
+               for n in n_range]
+    values = {lam.n: count_hives(lam, mu, nu) for lam, mu, nu in triples}
+    lam0, mu0, nu0 = triples[0]
+    formula = nr_coefficient(lam0, mu0, nu0)  # independent of n
     distinct = set(values.values())
     if len(distinct) == 1 and distinct == {formula}:
         return Verdict(PASS, "stability", lam0, mu0, formula, formula)
@@ -160,6 +154,17 @@ def stability_check(lam1: int, lam2: int, mu1: int, mu2: int,
 
 # ---------------------------------------------------------------------------
 # sweeps
+
+
+def _nested_ints(value, depth: int):
+    """Lists (or tuples) of integers nested ``depth`` deep, as tuples; None if
+    ``value`` has any other shape."""
+    if depth == 0:
+        return value if type(value) is int else None
+    if not isinstance(value, (list, tuple)):
+        return None
+    out = tuple(_nested_ints(v, depth - 1) for v in value)
+    return None if None in out else out
 
 
 @dataclass(frozen=True)
@@ -188,6 +193,14 @@ class SweepConfig:
             raise ValueError("jobs must be >= 1")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, not {self.output_path!r}")
+        for name, depth, shape in (("extra_cases", 3, "[lambda, mu] pairs of integer lists"),
+                                   ("expected_fail_lambdas", 2, "integer lists")):
+            value = _nested_ints(getattr(self, name), depth)
+            if value is None or (depth == 3 and any(len(case) != 2 for case in value)):
+                raise ValueError(f"{name} must be a list of {shape}, not {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
 
     def as_json(self) -> dict:
         return {
@@ -211,11 +224,7 @@ class SweepConfig:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise ValueError(f"missing sweep config key(s): {', '.join(map(repr, missing))}")
-        return cls(**dict(
-            d,
-            extra_cases=tuple((tuple(l), tuple(m)) for l, m in d.get("extra_cases", ())),
-            expected_fail_lambdas=tuple(tuple(l) for l in d.get("expected_fail_lambdas", ())),
-        ))
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -286,7 +295,7 @@ def sweep_cases(config: SweepConfig) -> list[tuple[Partition, Partition]]:
     cases = []
     for a in range(config.max_nr + 1):
         for b in range(config.max_nr + 1):
-            lam = Partition((a + b,) + (b,) * (n - 2) + (0,)) if n > 2 else Partition((a + b, 0))
+            lam = padded((a + b,), b, (0,), n)
             for mu_size in range(config.max_mu_size + 1):
                 for shape in partitions_of(mu_size, n):
                     mu = Partition(shape + (0,) * (n - len(shape)))
@@ -307,6 +316,9 @@ def sweep(config: SweepConfig, version: str = "0") -> VerificationReport:
     pairs = list(dict.fromkeys(
         pair for lam, mu in cases for pair in ((lam, mu), (lambda_dagger(lam), mu))))
     if config.jobs > 1:
+        # imported here: the process pool costs every other run ~20 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             found = list(pool.map(multiplicity_multiset, *zip(*pairs), chunksize=8))
     else:

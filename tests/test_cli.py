@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrhive
 from lrhive.cli import FAMILIES, main
 from lrhive.coefficients import METHODS
 
@@ -177,11 +182,17 @@ def test_compare_output_exact(capsys, argv, expected):
     ["sweep", "--config", "{array}"],
     ["sweep", "--config", "{absent}"],
     ["sweep", "--config", "{string_n}"],
+    ["sweep", "--config", "{scalar_cases}"],
+    ["sweep", "--config", "{scalar_fail}"],
+    ["sweep", "--config", "{list_output}"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
     cfg = {"n": 4, "max_nr": 1, "max_mu_size": 2, "check": "conj1"}
     files = {"config": cfg, "unknown_key": {**cfg, "bogus": 1}, "missing_keys": {"n": 4},
-             "scalar": 5, "array": [1], "string_n": {**cfg, "n": "4"}}
+             "scalar": 5, "array": [1], "string_n": {**cfg, "n": "4"},
+             "scalar_cases": {**cfg, "extra_cases": 3},
+             "scalar_fail": {**cfg, "expected_fail_lambdas": [3]},
+             "list_output": {**cfg, "output_path": ["out.json"]}}
     paths = {name: tmp_path / f"{name}.json" for name in [*files, "absent"]}
     for name, content in files.items():
         paths[name].write_text(json.dumps(content))
@@ -189,6 +200,14 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_import_leaves_process_pool_out():
+    """The process pool is imported only by a sweep with jobs > 1."""
+    src = os.path.dirname(os.path.dirname(lrhive.__file__))
+    code = "import sys, lrhive.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
@@ -233,7 +252,7 @@ _TRIPLE = {**_PAIR, "--nu": _PARTS}
 _JSON = {"--json": None}
 # Every subcommand with its required flags, which are always given, and its
 # optional ones; None marks a flag without a value.  Small values keep each
-# run fast; --output is left out so nothing is written.
+# run fast; --output is left out.  config.json holds a drawn _CONFIG.
 _FLAGS = {
     "lr": (_TRIPLE, {"--method": st.sampled_from([*METHODS, "bogus"]), **_JSON}),
     "multiset": (_PAIR, _JSON),
@@ -246,7 +265,7 @@ _FLAGS = {
              {"--generators": None, **_JSON}),
     "piecewise": ({"--family": st.sampled_from([*FAMILIES, "bogus"])},
                   {"--point": _PARTS, "--verify-range": _INT, "--dump": None, **_JSON}),
-    "sweep": ({}, {"--config": st.sampled_from(["absent.json", "."]),
+    "sweep": ({}, {"--config": st.sampled_from(["config.json", "absent.json", "."]),
                    **dict.fromkeys(("--n", "--max-nr", "--max-mu"), _INT),
                    "--check": st.sampled_from(["conj1", "conj2", "cz_sum", "bogus"]),
                    "--jobs": st.sampled_from(["-1", "0", "1", "x"]),
@@ -266,14 +285,56 @@ def _argv(draw):
     return argv
 
 
-@given(_argv())
-@settings(max_examples=300, deadline=None)
-def test_cli_exit_status_property(argv):
+# Sweep config files: any JSON value; objects whose known keys all hold random
+# JSON values; and objects with well-formed required keys whose optional keys
+# hold random JSON values or well-formed ones.  Numbers stay small so that a
+# config which passes every check runs a tiny sweep, and jobs stays <= 1 (no
+# process pool).  A string may name the report file, which then lands in the
+# temporary directory.
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(-1, 3) | st.text("ab.", max_size=3)
+    | st.sampled_from(["conj1", "conj2", "cz_sum", "json", "csv"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+_PART_LIST = st.lists(st.integers(-1, 3), max_size=3)
+_REQUIRED = {
+    "n": st.integers(1, 3),
+    **dict.fromkeys(("max_nr", "max_mu_size"), st.integers(0, 3)),
+    "check": st.sampled_from(["conj1", "conj2", "cz_sum"]),
+}
+_OPTIONAL = {
+    "jobs": st.just(1) | _JSON_VALUE.filter(lambda v: not (type(v) is int and v > 1)),
+    "output_path": st.just("out") | _JSON_VALUE,
+    "output_format": st.sampled_from(["json", "csv"]) | _JSON_VALUE,
+    "extra_cases": st.lists(st.lists(_PART_LIST, min_size=2, max_size=2), max_size=2) | _JSON_VALUE,
+    "expected_fail_lambdas": st.lists(_PART_LIST, max_size=2) | _JSON_VALUE,
+}
+_CONFIG = st.one_of(
+    _JSON_VALUE,
+    st.fixed_dictionaries({}, optional=dict.fromkeys([*_REQUIRED, *_OPTIONAL], _JSON_VALUE)),
+    st.fixed_dictionaries(_REQUIRED, optional=_OPTIONAL),
+)
+
+
+@given(_argv() | st.sampled_from([["sweep", "--config", "config.json"],
+                                   ["sweep", "--config", "config.json", "--json"]]), _CONFIG)
+@settings(max_examples=400, deadline=None)
+def test_cli_exit_status_property(argv, config):
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
         try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
-    assert code in (0, 1, 2), (argv, err.getvalue())
+            with open("config.json", "w") as fh:
+                json.dump(config, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the command line
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, config, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -12,6 +12,7 @@ from lrhive.partitions import (
     enumerate_nu_candidates,
     from_fundamental,
     is_near_rectangular,
+    padded,
     partitions_of,
 )
 
@@ -84,6 +85,17 @@ def test_fundamental_coords_round_trip():
         FundamentalCoords(1, 1, 5)
     with pytest.raises(ValueError):
         FundamentalCoords(-1, 0, 3)
+
+
+def test_padded():
+    assert padded((5,), 2, (0,), 4) == Partition((5, 2, 2, 0))
+    assert padded((5,), 2, (0,), 2) == Partition((5, 0))  # no middle part
+    assert padded((4, 3), 2, (1, 0), 6) == Partition((4, 3, 2, 2, 1, 0))
+    for head, tail, n in [((5,), (0,), 1), ((4, 3), (1, 0), 3), ((1, 1, 1), (), 2)]:
+        with pytest.raises(ValueError, match="exceed rank"):
+            padded(head, 1, tail, n)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        padded((1,), 2, (0,), 3)
 
 
 def test_partitions_of():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrhive import coefficients
+from lrhive.coefficients import lr_coefficient
 from lrhive.formulas import (
     gl3_coefficient,
     gl3_exceeds,
@@ -16,6 +18,36 @@ from lrhive.formulas import (
 from lrhive.hive import count_hives
 from lrhive.partitions import Partition, partitions_of
 from lrhive.piecewise import multiplicity_multiset
+
+
+@pytest.mark.parametrize("lam, mu, nu, backend", [
+    ((2, 1, 0), (2, 1, 0), (4, 3, 0), "gl3_coefficient"),
+    ((3, 2, 1), (2, 1, 1), (5, 4, 2), "gl3_coefficient"),
+    ((3, 1, 1, 0), (2, 1, 1, 0), (5, 3, 2, 0), "nr_coefficient"),
+    ((4, 2, 2, 1), (2, 1, 1, 1), (6, 4, 3, 2), "nr_coefficient"),
+    ((3, 1, 1, 1, 0), (2, 1, 1, 1, 0), (5, 3, 2, 2, 0), "nr_coefficient"),
+    ((4, 2, 2, 2, 1), (2, 1, 1, 1, 1), (6, 4, 3, 3, 2), "nr_coefficient"),
+    ((3, 2, 1, 0), (2, 1, 0, 0), (4, 3, 2, 1), "count_hives"),
+    ((4, 3, 2, 1), (2, 1, 1, 1), (6, 4, 3, 3), "count_hives"),
+    ((2, 0), (1, 0), (2, 2), "count_hives"),
+    ((3, 1), (1, 1), (4, 3), "count_hives"),
+    ((0,), (0,), (1,), "count_hives"),
+    ((2,), (1,), (4,), "count_hives"),
+])
+def test_auto_unbalanced_is_zero(monkeypatch, lam, mu, nu, backend):
+    """Every backend that ``auto`` dispatches to, with and without a
+    bar-reduction shift, returns 0 when |nu| != |lam| + |mu|.  The closed-form
+    intervals alone are nonempty on the gl3 and nr rows."""
+    lam, mu, nu = map(Partition, (lam, mu, nu))
+    assert nu.size != lam.size + mu.size
+    calls = []
+    for name in ("gl3_coefficient", "nr_coefficient", "count_hives"):
+        real = getattr(coefficients, name)
+        monkeypatch.setattr(coefficients, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert lr_coefficient(lam, mu, nu) == 0
+    assert calls == [backend]
+    assert lr_coefficient(lam, mu, nu, "hive") == 0
 
 
 def test_gl3_interval_worked_example():
