@@ -26,6 +26,7 @@ from .piecewise import (
     verify_family,
 )
 from .verify import (
+    _CHECKS,
     FAIL,
     SweepConfig,
     compare,
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--max-nr", type=int, help="bound on max(lambda1-lambda2, lambda2)")
     p.add_argument("--max-mu", type=int, help="bound on |mu|")
-    p.add_argument("--check", choices=("conj1", "conj2", "cz_sum"))
+    p.add_argument("--check", choices=tuple(_CHECKS))
     p.add_argument("--jobs", type=int)
     p.add_argument("--output", metavar="FILE")
     p.add_argument("--format", choices=("json", "csv"))

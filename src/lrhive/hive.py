@@ -22,39 +22,20 @@ from .partitions import Partition, is_near_rectangular, padded
 Vertex = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class RhombusConstraint:
-    """One rhombus inequality b + c >= a + d.
-
-    ``pos`` holds the vertices (b, c) on the short diagonal, ``neg`` the
-    opposite pair (a, d).
-    """
-
-    pos: tuple[Vertex, Vertex]
-    neg: tuple[Vertex, Vertex]
-
-    @property
-    def vertices(self) -> tuple[Vertex, Vertex, Vertex, Vertex]:
-        return self.pos + self.neg
-
-    def holds(self, label) -> bool:
-        b, c = self.pos
-        a, d = self.neg
-        return label[b] + label[c] >= label[a] + label[d]
-
-
-def rhombus_constraints(n: int) -> list[RhombusConstraint]:
-    """All 3*n*(n-1)/2 rhombus constraints for size n (none for n = 1)."""
+def rhombus_constraints(n: int) -> list[tuple[Vertex, Vertex, Vertex, Vertex]]:
+    """All 3*n*(n-1)/2 rhombus constraints for size n (none for n = 1), each
+    as vertices (b, c, a, d) meaning b + c >= a + d: (b, c) on the short
+    diagonal, (a, d) the opposite pair."""
     out = []
     for i in range(1, n):
         for j in range(i):
             # shared edge inside row i
-            out.append(RhombusConstraint(((i, j), (i, j + 1)), ((i - 1, j), (i + 1, j + 1))))
+            out.append(((i, j), (i, j + 1), (i - 1, j), (i + 1, j + 1)))
             # shared edge between (i, j) and (i+1, j+1)
-            out.append(RhombusConstraint(((i, j), (i + 1, j + 1)), ((i + 1, j), (i, j + 1))))
+            out.append(((i, j), (i + 1, j + 1), (i + 1, j), (i, j + 1)))
         for j in range(1, i + 1):
             # shared edge between (i, j) and (i+1, j)
-            out.append(RhombusConstraint(((i, j), (i + 1, j)), ((i, j - 1), (i + 1, j + 1))))
+            out.append(((i, j), (i + 1, j), (i, j - 1), (i + 1, j + 1)))
     return out
 
 
@@ -87,7 +68,8 @@ class Hive:
         return self.rows[v[0]][v[1]]
 
     def is_valid(self) -> bool:
-        return all(c.holds(self) for c in rhombus_constraints(self.n))
+        return all(self[b] + self[c] >= self[a] + self[d]
+                   for b, c, a, d in rhombus_constraints(self.n))
 
     def boundary(self) -> tuple[Partition, Partition, Partition]:
         """Recover (lam, mu, nu) from the boundary partial sums."""
@@ -127,7 +109,7 @@ def _search_plan(n: int):
     upper: list[list[tuple[int, int, int]]] = [[] for _ in interior]
     boundary_only = []
     for c in rhombus_constraints(n):
-        b, cc, a, d = map(num, c.vertices)
+        b, cc, a, d = map(num, c)
         t, v = max((order.get(u, -1), u) for u in (b, cc, a, d))
         if t < 0:
             boundary_only.append((b, cc, a, d))

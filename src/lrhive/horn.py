@@ -2,7 +2,8 @@
 
 The two hard-coded systems ("nr2": both factors near-rectangular, "nr": only
 the first) decide nonvanishing of c_{lam,mu}^nu by a finite list of linear
-inequalities in (lam, mu, nu), plus the balance equality.  Extremal-ray /
+inequalities in (lam, mu, nu), plus the balance equality, on a fixed domain
+that each system checks itself.  Extremal-ray /
 Hilbert-basis generators are transcribed and re-verified, not computed.
 """
 
@@ -83,75 +84,6 @@ assert len(_NR_FACETS) == 32
 
 
 @dataclass(frozen=True)
-class FacetSystem:
-    """Named list of linear facets over (lam, mu, nu) plus the balance equality."""
-
-    name: str
-    facets: tuple[Facet, ...]
-
-    def violated(self, lam: Partition, mu: Partition, nu: Partition) -> list[int]:
-        """Indices of violated facets; the balance equality is index -1."""
-        x = lam.parts + mu.parts + nu.parts
-        bad = []
-        if nu.size != lam.size + mu.size:
-            bad.append(-1)
-        for idx, (_, coeffs) in enumerate(self.facets):
-            if sum(c * v for c, v in zip(coeffs, x)) < 0:
-                bad.append(idx)
-        return bad
-
-    def member(self, lam: Partition, mu: Partition, nu: Partition) -> bool:
-        return not self.violated(lam, mu, nu)
-
-
-NR2_SYSTEM = FacetSystem("nr2", tuple(_NR2_FACETS))
-NR_SYSTEM = FacetSystem("nr", tuple(_NR_FACETS))
-
-
-def facet_system(name: str) -> FacetSystem:
-    if name == "nr2":
-        return NR2_SYSTEM
-    if name == "nr":
-        return NR_SYSTEM
-    raise ValueError(f"unknown facet system {name!r}")
-
-
-def weyl_check(lam: Partition, mu: Partition, nu: Partition) -> bool:
-    """nu_{i+j-1} <= lam_i + mu_j for all i + j - 1 <= n."""
-    n = lam.n
-    if mu.n != n or nu.n != n:
-        raise ValueError("rank mismatch")
-    for i in range(1, n + 1):
-        for j in range(1, n + 2 - i):
-            if nu[i + j - 2] > lam[i - 1] + mu[j - 1]:
-                return False
-    return True
-
-
-def _require_rank4(p: Partition, what: str, near_rect: bool):
-    if p.n != 4:
-        raise ValueError(f"{what} must have rank 4")
-    if p[3] != 0:
-        raise ValueError(f"{what} must have last part 0")
-    if near_rect and not is_near_rectangular(p):
-        raise ValueError(f"{what} must be near-rectangular")
-
-
-def horn4_nr2_member(lam: Partition, mu: Partition, nu: Partition) -> bool:
-    """Nonvanishing test for rank 4 with both lam and mu near-rectangular."""
-    _require_rank4(lam, "lam", near_rect=True)
-    _require_rank4(mu, "mu", near_rect=True)
-    return NR2_SYSTEM.member(lam, mu, nu)
-
-
-def horn4_nr_member(lam: Partition, mu: Partition, nu: Partition) -> bool:
-    """Nonvanishing test for rank 4 with lam near-rectangular, mu arbitrary."""
-    _require_rank4(lam, "lam", near_rect=True)
-    _require_rank4(mu, "mu", near_rect=False)
-    return NR_SYSTEM.member(lam, mu, nu)
-
-
-@dataclass(frozen=True)
 class RayGenerator:
     lam: Partition
     mu: Partition
@@ -190,10 +122,77 @@ _NR_GENERATORS = [
 ]
 
 
+@dataclass(frozen=True)
+class FacetSystem:
+    """Named list of linear facets over (lam, mu, nu) plus the balance
+    equality, with the Hilbert-basis generators of its face.
+
+    The facets decide nonvanishing only on the system's domain: rank 4, lam
+    and mu bar-reduced (last part 0), lam near-rectangular, and mu too when
+    ``mu_near_rectangular`` is set.
+    """
+
+    name: str
+    facets: tuple[Facet, ...]
+    mu_near_rectangular: bool
+    generators: tuple[RayGenerator, ...]
+
+    def violated(self, lam: Partition, mu: Partition, nu: Partition) -> list[int]:
+        """Indices of violated facets; the balance equality is index -1.
+
+        Raises ValueError on a triple outside the domain.
+        """
+        if not lam.n == mu.n == nu.n == 4:
+            raise ValueError(f"{self.name} facets need rank 4, not ranks {lam.n}, {mu.n}, {nu.n}")
+        for p, what, near_rect in ((lam, "lam", True), (mu, "mu", self.mu_near_rectangular)):
+            if p[3] != 0:
+                raise ValueError(f"{what} must have last part 0")
+            if near_rect and not is_near_rectangular(p):
+                raise ValueError(f"{what} must be near-rectangular for the {self.name} facets")
+        x = lam.parts + mu.parts + nu.parts
+        bad = []
+        if nu.size != lam.size + mu.size:
+            bad.append(-1)
+        for idx, (_, coeffs) in enumerate(self.facets):
+            if sum(c * v for c, v in zip(coeffs, x)) < 0:
+                bad.append(idx)
+        return bad
+
+
+NR2_SYSTEM = FacetSystem("nr2", tuple(_NR2_FACETS), True, tuple(_NR2_GENERATORS))
+NR_SYSTEM = FacetSystem("nr", tuple(_NR_FACETS), False, tuple(_NR_GENERATORS))
+
+
+def facet_system(name: str) -> FacetSystem:
+    if name == "nr2":
+        return NR2_SYSTEM
+    if name == "nr":
+        return NR_SYSTEM
+    raise ValueError(f"unknown facet system {name!r}")
+
+
 def hilbert_generators(face: str) -> list[RayGenerator]:
     """The 8 (nr2) or 12 (nr) Hilbert-basis triples for the face."""
-    if face == "nr2":
-        return list(_NR2_GENERATORS)
-    if face == "nr":
-        return list(_NR_GENERATORS)
-    raise ValueError(f"unknown face {face!r}")
+    return list(facet_system(face).generators)
+
+
+def weyl_check(lam: Partition, mu: Partition, nu: Partition) -> bool:
+    """nu_{i+j-1} <= lam_i + mu_j for all i + j - 1 <= n."""
+    n = lam.n
+    if mu.n != n or nu.n != n:
+        raise ValueError("rank mismatch")
+    for i in range(1, n + 1):
+        for j in range(1, n + 2 - i):
+            if nu[i + j - 2] > lam[i - 1] + mu[j - 1]:
+                return False
+    return True
+
+
+def horn4_nr2_member(lam: Partition, mu: Partition, nu: Partition) -> bool:
+    """Nonvanishing test for rank 4 with both lam and mu near-rectangular."""
+    return not NR2_SYSTEM.violated(lam, mu, nu)
+
+
+def horn4_nr_member(lam: Partition, mu: Partition, nu: Partition) -> bool:
+    """Nonvanishing test for rank 4 with lam near-rectangular, mu arbitrary."""
+    return not NR_SYSTEM.violated(lam, mu, nu)

@@ -19,11 +19,13 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         if len(parts) < 1:
             raise ValueError("a partition needs rank n >= 1")
         for p in parts:
+            if type(p) is not int:
+                raise ValueError(f"partition parts must be integers, not {p!r}")
             if p < 0:
                 raise ValueError(f"negative part in {parts}")
         for a, b in zip(parts, parts[1:]):

@@ -28,32 +28,27 @@ Rational = Fraction | int
 # linear forms and cones
 
 
+def _integer(c: Rational | str) -> int:
+    c = Fraction(c)
+    if c.denominator != 1:
+        raise ValueError(f"linear forms need integer coefficients, not {c}")
+    return c.numerator
+
+
 @dataclass(frozen=True)
 class LinearForm:
-    """(coeffs . x + constant) / denominator, with integer numerators.
-
-    ``make`` keeps every form in lowest terms (``denominator`` is the least
-    common denominator of the rational coefficients), so equal forms compare
-    and hash equal.
-    """
+    """coeffs . x + constant, with integer coefficients."""
 
     coeffs: tuple[tuple[str, int], ...]  # sorted by variable name, no zeros
     constant: int
-    denominator: int = 1
 
     @classmethod
     def make(cls, coeffs: Mapping[str, Rational], constant: Rational = 0) -> "LinearForm":
-        values = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
-        constant = Fraction(constant)
-        den = lcm(constant.denominator, *(c.denominator for c in values.values()))
-        return cls(
-            tuple(sorted((v, c.numerator * (den // c.denominator)) for v, c in values.items())),
-            constant.numerator * (den // constant.denominator),
-            den,
-        )
+        """Raises ValueError on a coefficient or constant that is not an integer."""
+        values = ((v, _integer(c)) for v, c in coeffs.items())
+        return cls(tuple(sorted((v, c) for v, c in values if c)), _integer(constant))
 
-    def numerator_at(self, point: Mapping[str, int]) -> int:
-        """The integer N with ``self(point) == N / self.denominator``."""
+    def value_at(self, point: Mapping[str, int]) -> int:
         total = self.constant
         for v, c in self.coeffs:
             total += c * point[v]
@@ -61,10 +56,10 @@ class LinearForm:
 
     def permuted(self, perm: Mapping[str, str]) -> "LinearForm":
         coeffs = tuple(sorted((perm.get(v, v), c) for v, c in self.coeffs))
-        return LinearForm(coeffs, self.constant, self.denominator)
+        return LinearForm(coeffs, self.constant)
 
     def normalized(self) -> "LinearForm":
-        """Scale by a positive rational to primitive integer coefficients."""
+        """Divide by the (positive) gcd of the coefficients and constant."""
         g = gcd(self.constant, *(c for _, c in self.coeffs))
         if not g:
             return self
@@ -82,8 +77,7 @@ class Cone:
         return cls(frozenset(c.normalized() for c in constraints))
 
     def contains(self, point: Mapping[str, int]) -> bool:
-        # LinearForm.numerator_at inlined: containment is evaluate's hottest loop.
-        # Denominators are positive, so a constraint's sign is its numerator's.
+        # LinearForm.value_at inlined: containment is evaluate's hottest loop.
         for form in self.constraints:
             total = form.constant
             for v, c in form.coeffs:
@@ -233,10 +227,7 @@ class QuasiPolynomial:
         """The branch polynomial that applies at ``point``."""
         if self.modulus == 1:
             return self.branches[0]
-        sel, rem = divmod(self.selector.numerator_at(point), self.selector.denominator)
-        if rem:
-            raise ValueError("selector must be integral on integer points")
-        return self.branches[sel % self.modulus]
+        return self.branches[self.selector.value_at(point) % self.modulus]
 
     def __call__(self, point: Mapping[str, int]) -> Fraction:
         return self.branch(point)(point)
@@ -679,14 +670,11 @@ def verify_family(family: str, bound: int):
 
 
 def _form_to_json(lf: LinearForm) -> dict:
-    return {
-        "coeffs": {v: str(Fraction(c, lf.denominator)) for v, c in lf.coeffs},
-        "constant": str(Fraction(lf.constant, lf.denominator)),
-    }
+    return {"coeffs": {v: str(c) for v, c in lf.coeffs}, "constant": str(lf.constant)}
 
 
 def _form_from_json(d: dict) -> LinearForm:
-    return LinearForm.make({v: Fraction(c) for v, c in d["coeffs"].items()}, Fraction(d["constant"]))
+    return LinearForm.make(d["coeffs"], d["constant"])
 
 
 def _cone_to_json(cone: Cone) -> dict:

@@ -172,7 +172,7 @@ class SweepConfig:
     n: int
     max_nr: int  # bound on max(lam1 - lam2, lam2)
     max_mu_size: int
-    check: str  # conj1 | conj2 | cz_sum
+    check: str  # a name in _CHECKS
     jobs: int = 1
     output_path: str | None = None
     output_format: str = "json"  # json | csv
@@ -187,7 +187,7 @@ class SweepConfig:
             raise ValueError("rank must be >= 2")
         if self.max_nr < 0 or self.max_mu_size < 0:
             raise ValueError("bounds must be nonnegative")
-        if self.check not in ("conj1", "conj2", "cz_sum"):
+        if self.check not in _CHECKS:
             raise ValueError(f"unknown check {self.check!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")

@@ -185,6 +185,13 @@ def test_compare_output_exact(capsys, argv, expected):
     ["sweep", "--config", "{scalar_cases}"],
     ["sweep", "--config", "{scalar_fail}"],
     ["sweep", "--config", "{list_output}"],
+    # horn triples outside the facet systems' domain
+    ["horn", "--family", "nr2", "--lambda", "1", "--mu", "1", "--nu", "2", "--n", "3"],
+    ["horn", "--family", "nr2", "--lambda", "1", "--mu", "1", "--nu", "2", "--n", "3", "--json"],
+    ["horn", "--family", "nr", "--lambda", "1", "--mu", "1", "--nu", "2", "--n", "5"],
+    ["horn", "--family", "nr2", "--lambda", "3,1", "--mu", "1", "--nu", "4,1", "--n", "4"],
+    ["horn", "--family", "nr", "--lambda", "1", "--mu", "1,1,1,1", "--nu", "2,1,1,1", "--n", "4"],
+    ["horn", "--family", "nr2", "--lambda", "1", "--mu", "2,1", "--nu", "3,1", "--n", "4"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
     cfg = {"n": 4, "max_nr": 1, "max_mu_size": 2, "check": "conj1"}

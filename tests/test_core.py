@@ -35,6 +35,14 @@ def test_validation():
     assert p.n == 3 and p.size == 4 and p[1] == 1
 
 
+def test_parts_must_be_ints():
+    """Parts are not coerced: a float, string or bool part is an error."""
+    for parts in [(2.7, 1), ("3", True), (1.9, 0), (2, 1.0), (True, 0)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            Partition(parts)
+    assert Partition([3, 1]).parts == (3, 1)
+
+
 def test_parse():
     assert Partition.parse("5,3", 3) == Partition((5, 3, 0))
     assert Partition.parse("", 2) == Partition((0, 0))

@@ -13,7 +13,7 @@ from lrhive.hive import (
     restrict_hive,
     rhombus_constraints,
 )
-from lrhive.partitions import Partition, partitions_of
+from lrhive.partitions import Partition, enumerate_nu_candidates, partitions_of
 from lrhive.piecewise import multiplicity_multiset
 
 
@@ -77,6 +77,21 @@ def test_enumerate_matches_count_and_validates():
             assert h.boundary() == (lam, mu, nu)
     assert enumerate_hives(Partition((2,)), Partition((1,)), Partition((3,))) == [
         Hive(((0,), (2, 3)))]
+
+
+def test_enumerated_hives_are_valid_ranks_1_to_5():
+    """Every hive the search yields satisfies every rhombus inequality and
+    has the requested boundary, over all triples with |lam|, |mu| <= 3."""
+    for n in range(1, 6):
+        shapes = [Partition(s + (0,) * (n - len(s)))
+                  for size in range(4) for s in partitions_of(size, n)]
+        for lam in shapes:
+            for mu in shapes:
+                for nu in enumerate_nu_candidates(lam, mu):
+                    hives = enumerate_hives(lam, mu, nu)
+                    assert len(hives) == count_hives(lam, mu, nu)
+                    for h in hives:
+                        assert h.is_valid() and h.boundary() == (lam, mu, nu)
 
 
 def test_search_has_no_depth_limit(capsys):

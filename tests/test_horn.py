@@ -39,13 +39,33 @@ def test_membership_known_triples():
                            Partition((2, 2, 1, 1)))
 
 
+_OUTSIDE_DOMAIN = [
+    (horn4_nr2_member, "nr2", ((2, 1, 0, 0), (1, 1, 1, 0), (2, 2, 1, 0))),  # lam not near-rectangular
+    (horn4_nr_member, "nr", ((1, 1, 1, 1), (1, 0, 0, 0), (2, 1, 1, 1))),  # lam last part nonzero
+    (horn4_nr2_member, "nr2", ((1, 0, 0), (1, 0, 0), (2, 0, 0))),  # rank 3
+    (horn4_nr_member, "nr", ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0), (2, 0, 0, 0, 0))),  # rank 5
+    (horn4_nr_member, "nr", ((1, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0, 0))),  # nu of rank 5
+    (horn4_nr_member, "nr", ((1, 0, 0, 0), (1, 1, 1, 1), (2, 1, 1, 1))),  # mu last part nonzero
+    (horn4_nr2_member, "nr2", ((1, 0, 0, 0), (2, 1, 0, 0), (3, 1, 0, 0))),  # mu not near-rectangular
+]
+
+
 def test_preconditions():
-    with pytest.raises(ValueError):
-        horn4_nr2_member(Partition((2, 1, 0, 0)), Partition((1, 1, 1, 0)),
-                         Partition((2, 2, 1, 0)))  # lam not near-rectangular
-    with pytest.raises(ValueError):
-        horn4_nr_member(Partition((1, 1, 1, 1)), Partition((1, 0, 0, 0)),
-                        Partition((2, 1, 1, 1)))  # lam last part nonzero
+    """The facet systems check their own domain, so the membership tests and
+    ``violated`` reject the same triples."""
+    for member, name, triple in _OUTSIDE_DOMAIN:
+        triple = tuple(map(Partition, triple))
+        with pytest.raises(ValueError):
+            member(*triple)
+        with pytest.raises(ValueError):
+            facet_system(name).violated(*triple)
+
+
+def test_nr_takes_any_bar_reduced_mu():
+    lam, mu = Partition((1, 0, 0, 0)), Partition((2, 1, 0, 0))
+    assert NR_SYSTEM.violated(lam, mu, Partition((3, 1, 0, 0))) == []
+    assert NR_SYSTEM.violated(lam, mu, Partition((2, 2, 0, 0))) == []
+    assert NR_SYSTEM.violated(lam, mu, Partition((4, 0, 0, 0))) != []
 
 
 def test_weyl_check():

@@ -73,6 +73,23 @@ def test_linear_form_normalization():
     assert a.normalized() != c.normalized()
 
 
+def test_linear_forms_are_integral():
+    assert LinearForm.make({"x": Fraction(4, 2), "y": 0}, Fraction(-3)) == LinearForm((("x", 2),), -3)
+    for coeffs, constant in [({"x": Fraction(1, 2)}, 0), ({"x": 1}, Fraction(1, 3)), ({"x": "1/2"}, 0)]:
+        with pytest.raises(ValueError, match="integer coefficients"):
+            LinearForm.make(coeffs, constant)
+    # JSON input goes through the same check, in selectors and in cone constraints
+    for where in ("selector", "constraint"):
+        d = piecewise_to_json(family_function("gl3"))
+        form = {"coeffs": {"k1": "1/2"}, "constant": "0"}
+        if where == "selector":
+            d["pieces"][0].update(modulus=2, selector=form)
+        else:
+            d["pieces"][0]["cone"]["constraints"].append(form)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            piecewise_from_json(d)
+
+
 def test_cone_contains():
     cone = Cone.make([LinearForm.make({"x": 1, "y": -1}), LinearForm.make({"y": 1})])
     assert cone.contains({"x": 3, "y": 1})
