@@ -42,12 +42,12 @@ def _partition(args, name: str) -> Partition:
     return Partition.parse(getattr(args, name), args.n)
 
 
-def _add_triple(sub, nu_required=True):
-    sub.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
-    sub.add_argument("--mu", required=True, metavar="PARTS")
+def _add_triple(sub, nu_required=True, required=True):
+    sub.add_argument("--lambda", dest="lam", required=required, metavar="PARTS")
+    sub.add_argument("--mu", required=required, metavar="PARTS")
     if nu_required:
-        sub.add_argument("--nu", required=True, metavar="PARTS")
-    sub.add_argument("--n", type=int, required=True, help="rank (pads omitted zeros)")
+        sub.add_argument("--nu", required=required, metavar="PARTS")
+    sub.add_argument("--n", type=int, required=required, help="rank (pads omitted zeros)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("horn", help="facet-system membership at rank 4")
-    _add_triple(p)
+    _add_triple(p, required=False)  # the triple is required unless --generators
     p.add_argument("--family", choices=("nr", "nr2"), required=True)
     p.add_argument("--generators", action="store_true", help="list the Hilbert generators instead")
     p.add_argument("--json", action="store_true")
@@ -172,6 +172,8 @@ def _cmd_horn(args) -> int:
         for g in gens:
             print(f"{g.lam} | {g.mu} | {g.nu}  {g.description}")
         return 0
+    if None in (args.lam, args.mu, args.nu, args.n):
+        raise ValueError("horn needs --lambda --mu --nu --n, or --generators")
     lam, mu, nu = (_partition(args, k) for k in ("lam", "mu", "nu"))
     system = facet_system(args.family)
     bad = system.violated(lam, mu, nu)

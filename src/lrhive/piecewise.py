@@ -219,6 +219,11 @@ class QuasiPolynomial:
     selector: LinearForm
     branches: tuple[Polynomial, ...]
 
+    def __post_init__(self):
+        if type(self.modulus) is not int or self.modulus < 1 or len(self.branches) != self.modulus:
+            raise ValueError(f"a quasi-polynomial of modulus {self.modulus} needs that many "
+                             f"branches (>= 1), not {len(self.branches)}")
+
     @classmethod
     def plain(cls, poly: Polynomial) -> "QuasiPolynomial":
         return cls(1, LinearForm.make({}), (poly,))

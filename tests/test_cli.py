@@ -82,6 +82,8 @@ def test_horn(capsys):
     code, out = run(capsys, "horn", "--family", "nr", "--generators",
                     "--lambda", "0", "--mu", "0", "--nu", "0", "--n", "4")
     assert code == 0 and len(out.strip().splitlines()) == 12
+    # --generators needs no triple
+    assert run(capsys, "horn", "--family", "nr", "--generators") == (code, out)
 
 
 def test_piecewise_point(capsys):
@@ -192,6 +194,9 @@ def test_compare_output_exact(capsys, argv, expected):
     ["horn", "--family", "nr2", "--lambda", "3,1", "--mu", "1", "--nu", "4,1", "--n", "4"],
     ["horn", "--family", "nr", "--lambda", "1", "--mu", "1,1,1,1", "--nu", "2,1,1,1", "--n", "4"],
     ["horn", "--family", "nr2", "--lambda", "1", "--mu", "2,1", "--nu", "3,1", "--n", "4"],
+    # without --generators the triple is required
+    ["horn", "--family", "nr"],
+    ["horn", "--family", "nr2", "--lambda", "1", "--mu", "1", "--nu", "2"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
     cfg = {"n": 4, "max_nr": 1, "max_mu_size": 2, "check": "conj1"}
@@ -268,8 +273,8 @@ _FLAGS = {
     "czsum": (_PAIR, _JSON),
     "stability": ({**dict.fromkeys(("--lam1", "--lam2", "--mu1", "--mu2"), _INT), "--nu": _PARTS},
                   {"--ranks": _PARTS, **_JSON}),
-    "horn": ({**_TRIPLE, "--family": st.sampled_from(["nr", "nr2", "bogus"])},
-             {"--generators": None, **_JSON}),
+    "horn": ({"--family": st.sampled_from(["nr", "nr2", "bogus"])},
+             {**_TRIPLE, "--generators": None, **_JSON}),
     "piecewise": ({"--family": st.sampled_from([*FAMILIES, "bogus"])},
                   {"--point": _PARTS, "--verify-range": _INT, "--dump": None, **_JSON}),
     "sweep": ({}, {"--config": st.sampled_from(["config.json", "absent.json", "."]),

@@ -1,9 +1,12 @@
 """Tests for the hive counting engine."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrhive import hive
 from lrhive.cli import main
 from lrhive.hive import (
     Hive,
@@ -15,6 +18,7 @@ from lrhive.hive import (
 )
 from lrhive.partitions import Partition, enumerate_nu_candidates, partitions_of
 from lrhive.piecewise import multiplicity_multiset
+from lrhive.tableaux import lr_tableaux_count
 
 
 def test_constraint_count():
@@ -105,6 +109,82 @@ def test_search_has_no_depth_limit(capsys):
                  ["--lambda", "2,1", "--mu", "1", "--nu", "3,1"]):
         assert main(["lr", *argv, "--n", str(n)]) == 0
         assert capsys.readouterr() == ("1\n", "")
+
+
+def _num(v):
+    return v[0] * (v[0] + 1) // 2 + v[1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_search_plan_invariants(n):
+    """Each interior vertex comes once; each rule reads only the boundary and
+    earlier vertices; the rules and the boundary-only list hold every rhombus
+    once, as ({short diagonal}, {opposite pair})."""
+    interior, lower, upper, boundary_only = hive._search_plan(n)
+    assert sorted(interior) == sorted(_num((i, j)) for i in range(2, n) for j in range(1, i))
+    assert len(interior) == len(lower) == len(upper)
+    position = {v: t for t, v in enumerate(interior)}
+    held = Counter()
+    for t, v in enumerate(interior):
+        assert lower[t] and upper[t]
+        for u, w, o in lower[t] + upper[t]:
+            assert all(position.get(x, -1) < t for x in (u, w, o))
+        held.update((frozenset((v, o)), frozenset((u, w))) for u, w, o in lower[t])
+        held.update((frozenset((u, w)), frozenset((v, o))) for u, w, o in upper[t])
+    for b, c, a, d in boundary_only:
+        assert all(x not in position for x in (b, c, a, d))
+    held.update((frozenset((b, c)), frozenset((a, d))) for b, c, a, d in boundary_only)
+    rhombi = Counter((frozenset((_num(b), _num(c))), frozenset((_num(a), _num(d))))
+                     for b, c, a, d in rhombus_constraints(n))
+    assert held == rhombi and sum(held.values()) == 3 * n * (n - 1) // 2
+    assert set(held.values()) <= {1}
+
+
+def test_search_plan_fills_column_by_column():
+    """Lines parallel to the lam edge, starting next to it; at rank 4 this is
+    the row-major order (2,1), (3,1), (3,2)."""
+    assert hive._search_plan(4)[0] == (_num((2, 1)), _num((3, 1)), _num((3, 2)))
+    assert hive._search_plan(5)[0] == tuple(
+        _num(v) for v in [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (4, 3)])
+
+
+def test_hives_match_tableaux_ranks_1_to_6():
+    """count_hives against the independent tableaux oracle at every candidate
+    nu of every pair with |lam|, |mu| <= 4."""
+    for n in range(1, 7):
+        shapes = [Partition(s + (0,) * (n - len(s)))
+                  for size in range(5) for s in partitions_of(size, n)]
+        for lam in shapes:
+            for mu in shapes:
+                for nu in enumerate_nu_candidates(lam, mu):
+                    assert count_hives(lam, mu, nu) == lr_tableaux_count(lam, mu, nu), (lam, mu, nu)
+
+
+def test_search_work_pinned_rank6(monkeypatch):
+    """Deterministic work of the DFS on ROADMAP baseline 1: the number of
+    nodes, summed over every candidate nu (each node reads its vertex's
+    lower rules once).  The row-major order took 553,631 nodes, so undoing
+    the column order fails here, not only in wall time.  The yields do not
+    show it: both orders end at vertex (n-1, n-2) and yield 7,849 leaves."""
+    class Counted(tuple):
+        reads = 0
+
+        def __getitem__(self, t):
+            Counted.reads += 1
+            return tuple.__getitem__(self, t)
+
+    plan = hive._search_plan
+
+    def counted_plan(n):
+        interior, lower, upper, boundary_only = plan(n)
+        return interior, Counted(lower), upper, boundary_only
+
+    monkeypatch.setattr(hive, "_search_plan", counted_plan)
+    lam, mu = Partition((8, 5, 3, 1, 0, 0)), Partition((6, 4, 2, 1, 0, 0))
+    for nu in enumerate_nu_candidates(lam, mu):
+        for _ in hive._search(lam, mu, nu):
+            pass
+    assert Counted.reads == 156_081
 
 
 def test_multiset_pinned_rank6():

@@ -213,6 +213,19 @@ def test_verify_family_small():
             verify_family(family, -1)
 
 
+@pytest.mark.parametrize("modulus", [0, -1, 2, "1"])
+def test_corrupted_modulus_rejected_at_load(modulus):
+    """A modulus that does not match the branches fails when the dump is
+    loaded, not later in evaluate (ZeroDivisionError, IndexError)."""
+    d = piecewise_to_json(family_function("gl3"))
+    assert [len(p["branches"]) for p in d["pieces"]] == [1] * len(d["pieces"])
+    d["pieces"][0]["modulus"] = modulus
+    with pytest.raises(ValueError, match="modulus"):
+        piecewise_from_json(d)
+    d["pieces"][0].update(modulus=2, branches=d["pieces"][0]["branches"] * 2)
+    assert piecewise_from_json(d).evaluate(point_of(d["variables"], (1, 1, 1, 1, 0)))[0] == 5
+
+
 def test_json_round_trip():
     for family in ("gl3", "gl4nr2"):
         f = family_function(family)
