@@ -16,10 +16,8 @@ from .coefficients import METHODS, lr_coefficient
 from .horn import facet_system, hilbert_generators
 from .partitions import Partition
 from .piecewise import (
-    GL4NR_VARIABLES,
-    eval_sample_piece,
+    FAMILIES,
     family_function,
-    gl4nr_sample_pieces,
     multiplicity_multiset,
     piecewise_to_json,
     point_of,
@@ -34,9 +32,6 @@ from .verify import (
     stability_check,
     sweep,
 )
-
-FAMILIES = ("gl3", "gl4nr2", "gl4nr-samples")
-
 
 def _partition(args, name: str) -> Partition:
     return Partition.parse(getattr(args, name), args.n)
@@ -92,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("piecewise", help="evaluate or verify a counting-function table")
-    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--point", metavar="X,X,...", help="integer point, one coordinate per table variable")
     p.add_argument("--verify-range", type=int, metavar="B",
                    help="scan all points with coordinates in [0, B] against enumeration")
@@ -169,8 +164,13 @@ def _cmd_stability(args) -> int:
 def _cmd_horn(args) -> int:
     if args.generators:
         gens = hilbert_generators(args.family)
-        for g in gens:
-            print(f"{g.lam} | {g.mu} | {g.nu}  {g.description}")
+        if args.json:
+            print(json.dumps({"family": args.family, "generators": [
+                {"lambda": list(g.lam), "mu": list(g.mu), "nu": list(g.nu),
+                 "description": g.description} for g in gens]}, sort_keys=True))
+        else:
+            for g in gens:
+                print(f"{g.lam} | {g.mu} | {g.nu}  {g.description}")
         return 0
     if None in (args.lam, args.mu, args.nu, args.n):
         raise ValueError("horn needs --lambda --mu --nu --n, or --generators")
@@ -186,6 +186,8 @@ def _cmd_horn(args) -> int:
 
 
 def _cmd_piecewise(args) -> int:
+    if (args.point is not None) + (args.verify_range is not None) + args.dump != 1:
+        raise ValueError("piecewise needs exactly one of --point, --verify-range, --dump")
     if args.dump:
         if args.family == "gl4nr-samples":
             raise ValueError("--dump supports the full tables only (gl3, gl4nr2)")
@@ -193,27 +195,25 @@ def _cmd_piecewise(args) -> int:
         return 0
     if args.verify_range is not None:
         mismatch = verify_family(args.family, args.verify_range)
-        if mismatch is None:
+        if args.json:
+            found = None if mismatch is None else {
+                "point": list(mismatch[0].values()), "table": mismatch[1], "enumeration": mismatch[2]}
+            print(json.dumps({"family": args.family, "bound": args.verify_range,
+                              "mismatch": found}, sort_keys=True))
+        elif mismatch is None:
             print(f"OK: {args.family} agrees with enumeration up to {args.verify_range}")
-            return 0
-        point, table_value, true_value = mismatch
-        print(f"MISMATCH at {point}: table {table_value}, enumeration {true_value}")
-        return 1
-    if args.point is None:
-        raise ValueError("piecewise needs one of --point, --verify-range, --dump")
+        else:
+            point, table_value, true_value = mismatch
+            print(f"MISMATCH at {point}: table {table_value}, enumeration {true_value}")
+        return 0 if mismatch is None else 1
+    f = family_function(args.family)
     coords = tuple(int(t) for t in args.point.split(","))
+    if len(coords) != len(f.variables):
+        raise ValueError(f"--point for {args.family} needs {len(f.variables)} coordinates "
+                         f"({','.join(f.variables)}), got {len(coords)}")
+    point = point_of(f.variables, coords)
     if args.family == "gl4nr-samples":
-        variables = GL4NR_VARIABLES
-    else:
-        variables = family_function(args.family).variables
-    if len(coords) != len(variables):
-        raise ValueError(f"--point for {args.family} needs {len(variables)} coordinates "
-                         f"({','.join(variables)}), got {len(coords)}")
-    if args.family == "gl4nr-samples":
-        pieces = gl4nr_sample_pieces()
-        point = point_of(variables, coords)
-        hits = [(i, eval_sample_piece(p, point)) for i, p in enumerate(pieces)
-                if p[0].contains(point)]
+        hits = f.values(point)
         if args.json:
             print(json.dumps({"point": list(coords),
                               "pieces": [{"index": i, "value": v} for i, v in hits]},
@@ -224,7 +224,7 @@ def _cmd_piecewise(args) -> int:
         else:
             print("no sample piece contains the point")
         return 0
-    value, index = family_function(args.family).evaluate(point_of(variables, coords))
+    value, index = f.evaluate(point)
     if args.json:
         print(json.dumps({"point": list(coords), "value": value, "piece": index},
                          sort_keys=True))

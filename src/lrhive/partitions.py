@@ -122,21 +122,27 @@ def from_fundamental(coords: FundamentalCoords) -> Partition:
 def partitions_of(total: int, max_parts: int, max_first: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of ``total`` into at most ``max_parts`` parts, largest
     part at most ``max_first``, in lexicographically decreasing order."""
-    if max_first is None:
-        max_first = total
-
-    def rec(remaining, slots, cap):
-        if remaining == 0:
-            yield ()
+    cap = total if max_first is None else max_first
+    parts: list[int] = []
+    remaining = total
+    while True:
+        # fill the tail greedily: the largest parts that fit under cap
+        while remaining > 0 and cap > 0 and len(parts) < max_parts:
+            cap = min(cap, remaining)
+            parts.append(cap)
+            remaining -= cap
+        if remaining:
+            return  # only the first fill can fall short: nothing fits
+        yield tuple(parts)
+        # the next one down: lower the rightmost part whose tail still fits
+        while parts:
+            part = parts.pop()
+            remaining += part
+            cap = part - 1
+            if cap * (max_parts - len(parts)) >= remaining:
+                break
+        else:
             return
-        if slots == 0:
-            return
-        lo = -(-remaining // slots)  # smallest feasible first part
-        for first in range(min(cap, remaining), lo - 1, -1):
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, max_parts, max_first)
 
 
 def enumerate_nu_candidates(lam: Partition, mu: Partition) -> list[Partition]:

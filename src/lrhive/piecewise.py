@@ -161,9 +161,6 @@ class Polynomial:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         acc: dict[tuple[int, ...], int] = {}
@@ -283,6 +280,19 @@ class PiecewiseFunction:
             )
         raise PieceAgreementError(f"non-integral value {exact.pop()} at {dict(point)}")
 
+    def values(self, point: Mapping[str, int]) -> list[tuple[int, int]]:
+        """(index, value) of every piece whose cone contains ``point``, each
+        evaluated on its own: no support test and no agreement check."""
+        out = []
+        for i, (cone, q) in enumerate(self.pieces):
+            if cone.contains(point):
+                p = q.branch(point)
+                value, rem = divmod(p.numerator_at(point), p.denominator)
+                if rem:
+                    raise PieceAgreementError(f"non-integral value {p(point)} at {dict(point)}")
+                out.append((i, value))
+        return out
+
 
 def point_of(variables, values) -> dict[str, int]:
     return dict(zip(variables, values))
@@ -364,11 +374,11 @@ def multiplicity_multiset(lam: Partition, mu: Partition, method: str = "auto") -
     return MultiplicityMultiset.make(counts)
 
 
-def count_above_enum(lam: Partition, mu: Partition, c: int, method: str = "auto") -> int:
+def count_above_enum(lam: Partition, mu: Partition, c: int) -> int:
     """#{nu : c_{lam,mu}^nu > c} by direct enumeration over candidates."""
     if c < 0:
         raise ValueError("threshold must be nonnegative")
-    return multiplicity_multiset(lam, mu, method).count_above(c)
+    return multiplicity_multiset(lam, mu).count_above(c)
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +551,14 @@ def s1_fixed_pieces(f: PiecewiseFunction) -> list[int]:
 GL4NR_VARIABLES = ("k1", "k2", "m1", "m2", "m3")
 
 
-def gl4nr_sample_pieces() -> list[Piece]:
+def gl4nr_samples_function() -> PiecewiseFunction:
     """Three printed pieces of #{nu : c_{lam,mu}^nu > 0} at rank 4 with
     lam = (k1+k2, k2, k2, 0) near-rectangular and mu = (m1, m2, m3, 0).
 
-    Each cone includes the ambient dominance constraints.  The middle piece
-    is a genuine quasi-polynomial branching on the parity of k1+k2+|mu|.
+    The support is the ambient dominance cone, and each piece's cone includes
+    it; the pieces cover only part of the support, so read them with
+    ``values``.  The middle piece is a genuine quasi-polynomial branching on
+    the parity of k1+k2+|mu|.
     """
     V = GL4NR_VARIABLES
     k1, k2, m1, m2, m3 = (Polynomial.var(V, v) for v in V)
@@ -586,50 +598,46 @@ def gl4nr_sample_pieces() -> list[Piece]:
     ])
     piece3 = (cone3, QuasiPolynomial.plain(base + binom3(k1 - m1 + m3 + 1)))
 
-    return [piece1, piece2, piece3]
-
-
-def eval_sample_piece(piece: Piece, point: Mapping[str, int]) -> int:
-    """Evaluate one (cone, quasi-polynomial) piece; rejects out-of-cone points."""
-    cone, q = piece
-    if not cone.contains(point):
-        raise ValueError(f"point {dict(point)} is outside the piece's cone")
-    p = q.branch(point)
-    value, rem = divmod(p.numerator_at(point), p.denominator)
-    if rem:
-        raise PieceAgreementError(f"non-integral value {p(point)} at {dict(point)}")
-    return value
+    return PiecewiseFunction(V, Cone.make(ambient), (piece1, piece2, piece3))
 
 
 # ---------------------------------------------------------------------------
 # ground-truth comparison helpers
 
+# each family's table builder and rank, in the order the CLI lists them
+FAMILIES = {
+    "gl3": (gl3_count_function, 3),
+    "gl4nr2": (gl4nr2_count_function, 4),
+    "gl4nr-samples": (gl4nr_samples_function, 4),
+}
+
+
+def _family(family: str):
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[family]
+
 
 @lru_cache(maxsize=None)
 def family_function(family: str) -> PiecewiseFunction:
-    """The built (and structure-checked) table for a full family."""
-    if family == "gl3":
-        return gl3_count_function()
-    if family == "gl4nr2":
-        return gl4nr2_count_function()
-    raise ValueError(f"unknown family {family!r}")
+    """The built (and structure-checked) table of a family."""
+    return _family(family)[0]()
 
 
 def _family_pair(family: str, point: Mapping[str, int]) -> tuple[Partition, Partition]:
     """The (lam, mu) that a point of the family's table stands for."""
-    n = {"gl3": 3, "gl4nr2": 4, "gl4nr-samples": 4}.get(family)
-    if n is None:
-        raise ValueError(f"unknown family {family!r}")
+    n = _family(family)[1]
     lam = padded((point["k1"] + point["k2"],), point["k2"], (0,), n)
-    if family == "gl4nr-samples":
+    if "m1" in point:  # the samples' mu is any (m1, m2, m3, 0)
         return lam, Partition((point["m1"], point["m2"], point["m3"], 0))
     return lam, padded((point["l1"] + point["l2"],), point["l2"], (0,), n)
 
 
 def enum_value(family: str, point: Mapping[str, int]) -> int:
-    """Enumeration ground truth for one table point."""
+    """Enumeration ground truth for one table point; the threshold is 0 in a
+    table without a c variable."""
     lam, mu = _family_pair(family, point)
-    return count_above_enum(lam, mu, 0 if family == "gl4nr-samples" else point["c"])
+    return count_above_enum(lam, mu, point.get("c", 0))
 
 
 def verify_family(family: str, bound: int):
@@ -638,27 +646,21 @@ def verify_family(family: str, bound: int):
 
     For the full tables the threshold c is the last variable, so the scan
     enumerates each (lam, mu) once and reads every threshold from its
-    histogram, in the same point order as a per-point scan.
+    histogram, in the same point order as a per-point scan.  A table without
+    c (the samples) checks every containing piece at every point.
     """
     if bound < 0:
         raise ValueError("verify range must be nonnegative")
-    if family == "gl4nr-samples":
-        V = GL4NR_VARIABLES
-        pieces = gl4nr_sample_pieces()
-        for coords in product(range(bound + 1), repeat=len(V)):
-            point = point_of(V, coords)
-            if not point["m1"] >= point["m2"] >= point["m3"]:
-                continue
-            truth = None
-            for piece in pieces:
-                if piece[0].contains(point):
-                    if truth is None:
-                        truth = enum_value(family, point)
-                    got = eval_sample_piece(piece, point)
-                    if got != truth:
-                        return point, got, truth
-        return None
     f = family_function(family)
+    if "c" not in f.variables:
+        for coords in product(range(bound + 1), repeat=len(f.variables)):
+            point = point_of(f.variables, coords)
+            hits = f.values(point)
+            truth = enum_value(family, point) if hits else None
+            for _, value in hits:
+                if value != truth:
+                    return point, value, truth
+        return None
     for coords in product(range(bound + 1), repeat=len(f.variables) - 1):
         histogram = multiplicity_multiset(*_family_pair(family, point_of(f.variables, coords)))
         for c in range(bound + 1):

@@ -19,11 +19,8 @@ from lrhive.hive import Hive, count_hives, enumerate_hives, restrict_hive
 from lrhive.horn import hilbert_generators, horn4_nr2_member, horn4_nr_member
 from lrhive.partitions import Partition, bar_reduce, dual_star, partitions_of
 from lrhive.piecewise import (
-    GL4NR_VARIABLES,
     enum_value,
-    eval_sample_piece,
     family_function,
-    gl4nr_sample_pieces,
     multiplicity_multiset,
     point_of,
     s1_fixed_pieces,
@@ -199,22 +196,20 @@ def test_criterion_08_component_count_formulas():
 
 
 def test_criterion_09_sample_pieces():
-    pieces = gl4nr_sample_pieces()
-    ok = True
+    f = family_function("gl4nr-samples")
+    ok = len(f.pieces) == 3
     parity_hits = set()
     for coords in product(range(7), repeat=5):
-        point = point_of(GL4NR_VARIABLES, coords)
+        point = point_of(f.variables, coords)
         if not point["m1"] >= point["m2"] >= point["m3"]:
             continue
-        truth = None
-        for idx, piece in enumerate(pieces):
-            if piece[0].contains(point):
-                if truth is None:
-                    truth = enum_value("gl4nr-samples", point)
-                if eval_sample_piece(piece, point) != truth:
-                    ok = False
-                if idx == 1:
-                    parity_hits.add(sum(coords) % 2)
+        hits = f.values(point)  # every containing piece
+        truth = enum_value("gl4nr-samples", point) if hits else None
+        for idx, value in hits:
+            if value != truth:
+                ok = False
+            if idx == 1:
+                parity_hits.add(sum(coords) % 2)
     ok = ok and parity_hits == {0, 1}
     report(9, "three sample pieces match enumeration up to 6, both parity branches", ok)
 

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrhive
-from lrhive.cli import FAMILIES, main
+from lrhive import piecewise
+from lrhive.cli import main
 from lrhive.coefficients import METHODS
+from lrhive.piecewise import FAMILIES, PiecewiseFunction, Polynomial, QuasiPolynomial
 
 
 def run(capsys, *argv):
@@ -56,6 +58,13 @@ def test_multiset(capsys):
     assert data["components"] == 21 and data["mult_sum"] == 34
 
 
+def test_multiset_past_the_recursion_limit(capsys):
+    """Candidate nu are listed without recursion, so a rank above Python's
+    recursion limit works: 1^1100 times 1 is 2^1 1^1099 plus 1^1101."""
+    ones = ",".join(["1"] * 1100)
+    assert run(capsys, "multiset", "--lambda", ones, "--mu", "1", "--n", "1101") == (0, "1:2\n")
+
+
 def test_conjecture_commands(capsys):
     code, out = run(capsys, "conj1", "--lambda", "5,3", "--mu", "6,3", "--n", "3")
     assert code == 0 and out.startswith("PASS")
@@ -86,6 +95,34 @@ def test_horn(capsys):
     assert run(capsys, "horn", "--family", "nr", "--generators") == (code, out)
 
 
+def test_horn_generators_json(capsys):
+    assert run(capsys, "horn", "--family", "nr2", "--generators", "--json") == (0, (
+        '{"family": "nr2", "generators": ['
+        '{"description": "V(1) in V(1)xV(0)", "lambda": [1, 0, 0, 0], "mu": [0, 0, 0, 0], '
+        '"nu": [1, 0, 0, 0]}, '
+        '{"description": "V(1) in V(0)xV(1)", "lambda": [0, 0, 0, 0], "mu": [1, 0, 0, 0], '
+        '"nu": [1, 0, 0, 0]}, '
+        '{"description": "V(1^3) in V(1^3)xV(0)", "lambda": [1, 1, 1, 0], "mu": [0, 0, 0, 0], '
+        '"nu": [1, 1, 1, 0]}, '
+        '{"description": "V(1^3) in V(0)xV(1^3)", "lambda": [0, 0, 0, 0], "mu": [1, 1, 1, 0], '
+        '"nu": [1, 1, 1, 0]}, '
+        '{"description": "V(1^2) in V(1)xV(1)", "lambda": [1, 0, 0, 0], "mu": [1, 0, 0, 0], '
+        '"nu": [1, 1, 0, 0]}, '
+        '{"description": "V(1^4) in V(1)xV(1^3)", "lambda": [1, 0, 0, 0], "mu": [1, 1, 1, 0], '
+        '"nu": [1, 1, 1, 1]}, '
+        '{"description": "V(1^4) in V(1^3)xV(1)", "lambda": [1, 1, 1, 0], "mu": [1, 0, 0, 0], '
+        '"nu": [1, 1, 1, 1]}, '
+        '{"description": "V(2^2 1^2) in V(1^3)xV(1^3)", "lambda": [1, 1, 1, 0], '
+        '"mu": [1, 1, 1, 0], "nu": [2, 2, 1, 1]}]}\n'))
+    # the same generators as the text listing, in the same order
+    code, out = run(capsys, "horn", "--family", "nr", "--generators", "--json")
+    data = json.loads(out)
+    assert code == 0 and out.count("\n") == 1 and data["family"] == "nr"
+    _, text = run(capsys, "horn", "--family", "nr", "--generators")
+    assert [" | ".join(",".join(map(str, g[k])) for k in ("lambda", "mu", "nu"))
+            + "  " + g["description"] for g in data["generators"]] == text.splitlines()
+
+
 def test_piecewise_point(capsys):
     code, out = run(capsys, "piecewise", "--family", "gl3", "--point", "1,1,1,1,0")
     assert code == 0 and out.startswith("5 (piece ")
@@ -99,6 +136,21 @@ def test_piecewise_point(capsys):
 def test_piecewise_verify_range(capsys):
     code, out = run(capsys, "piecewise", "--family", "gl3", "--verify-range", "2")
     assert code == 0 and out.startswith("OK")
+
+
+def test_piecewise_verify_range_json(capsys, monkeypatch):
+    assert run(capsys, "piecewise", "--family", "gl3", "--verify-range", "1", "--json") == (
+        0, '{"bound": 1, "family": "gl3", "mismatch": null}\n')
+    f = piecewise.family_function("gl3")
+    k1, l2, c = (Polynomial.var(f.variables, v) for v in ("k1", "l2", "c"))
+    broken = PiecewiseFunction(f.variables, f.support, tuple(
+        (cone, QuasiPolynomial.plain(q.branches[0] + k1 * l2 * c)) for cone, q in f.pieces))
+    monkeypatch.setattr(piecewise, "family_function", lambda _: broken)
+    assert run(capsys, "piecewise", "--family", "gl3", "--verify-range", "2") == (
+        1, "MISMATCH at {'k1': 1, 'k2': 1, 'l1': 1, 'l2': 1, 'c': 1}: table 2, enumeration 1\n")
+    assert run(capsys, "piecewise", "--family", "gl3", "--verify-range", "2", "--json") == (
+        1, '{"bound": 2, "family": "gl3", "mismatch": '
+           '{"enumeration": 1, "point": [1, 1, 1, 1, 1], "table": 2}}\n')
 
 
 @pytest.mark.parametrize("family", ["gl3", "gl4nr2", "gl4nr-samples"])
@@ -197,6 +249,9 @@ def test_compare_output_exact(capsys, argv, expected):
     # without --generators the triple is required
     ["horn", "--family", "nr"],
     ["horn", "--family", "nr2", "--lambda", "1", "--mu", "1", "--nu", "2"],
+    # piecewise takes exactly one mode
+    ["piecewise", "--family", "gl3", "--dump", "--point", "1,1,1,1,0"],
+    ["piecewise", "--family", "gl3", "--point", "1,1,1,1,0", "--verify-range", "1"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
     cfg = {"n": 4, "max_nr": 1, "max_mu_size": 2, "check": "conj1"}

@@ -2,13 +2,14 @@
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrhive import piecewise
+from lrhive import cli, piecewise
 from lrhive.cli import main
 from lrhive.partitions import Partition
 from lrhive.piecewise import (
@@ -23,11 +24,9 @@ from lrhive.piecewise import (
     binom3,
     count_above_enum,
     enum_value,
-    eval_sample_piece,
     family_function,
     gl3_count_function,
     gl4nr2_count_function,
-    gl4nr_sample_pieces,
     multiplicity_multiset,
     orbit_expand,
     permutation_group,
@@ -192,14 +191,18 @@ def test_gl4nr2_table_matches_enumeration(coords):
 
 
 def test_sample_pieces():
-    pieces = gl4nr_sample_pieces()
+    f = family_function("gl4nr-samples")
+    assert f.variables == GL4NR_VARIABLES
+    pieces = f.pieces
     assert len(pieces) == 3
     assert pieces[1][1].modulus == 2  # the quasi-polynomial piece
     point = point_of(GL4NR_VARIABLES, (1, 1, 1, 0, 0))
     assert pieces[0][0].contains(point)
-    assert eval_sample_piece(pieces[0], point) == 3 == enum_value("gl4nr-samples", point)
-    with pytest.raises(ValueError):
-        eval_sample_piece(pieces[0], point_of(GL4NR_VARIABLES, (0, 0, 5, 0, 0)))
+    assert dict(f.values(point))[0] == 3 == enum_value("gl4nr-samples", point)
+    # a piece whose cone does not contain the point gives no value there
+    outside = point_of(GL4NR_VARIABLES, (0, 0, 5, 0, 0))
+    assert f.support.contains(outside) and not pieces[0][0].contains(outside)
+    assert 0 not in dict(f.values(outside))
 
 
 def test_verify_family_small():
@@ -290,10 +293,7 @@ def _ref_piece_value(piece, variables, point):
     ("gl4nr-samples", (-1, 0, 1, 2)),  # includes the mod-2 quasi-polynomial piece
 ])
 def test_integer_evaluation_matches_fraction_reference(table, values):
-    if table == "gl4nr-samples":
-        f = PiecewiseFunction(GL4NR_VARIABLES, Cone.make([]), tuple(gl4nr_sample_pieces()))
-    else:
-        f = family_function(table)
+    f = family_function(table)
     variables, support, ref_pieces = _ref_table(f)
     branches_hit = set()
     for coords in product(values, repeat=len(f.variables)):
@@ -306,7 +306,12 @@ def test_integer_evaluation_matches_fraction_reference(table, values):
             if inside:
                 hits.append((i, value))
                 branches_hit.add((i, q.branches.index(q.branch(point))))
-        # evaluate() spelled out in Fraction arithmetic
+        # values() and evaluate() spelled out in Fraction arithmetic
+        if all(v.denominator == 1 for _, v in hits):
+            assert f.values(point) == [(i, v.numerator) for i, v in hits], coords
+        else:
+            with pytest.raises(PieceAgreementError, match="non-integral"):
+                f.values(point)
         if not _ref_contains(support, point):
             expected = (0, None)
         elif not hits or len({v for _, v in hits}) != 1 or hits[0][1].denominator != 1:
@@ -329,11 +334,12 @@ def test_non_integral_values_raise():
                              ((everywhere, QuasiPolynomial.plain(Fraction(1, 2) * x)),))
     assert half.evaluate({"x": 4}) == (2, 0)
     assert half.evaluate({"x": -2}) == (-1, 0)
+    assert half.values({"x": -2}) == [(0, -1)]
     for odd in (-3, 1, 3):
         with pytest.raises(PieceAgreementError, match="non-integral"):
             half.evaluate({"x": odd})
         with pytest.raises(PieceAgreementError, match="non-integral"):
-            eval_sample_piece(half.pieces[0], {"x": odd})
+            half.values({"x": odd})
     # 3/2 and 5/4 have equal integer parts and remainders, yet disagree
     quarter = (everywhere, QuasiPolynomial.plain((x + 2) * Fraction(1, 4)))
     both = PiecewiseFunction(("x",), everywhere, half.pieces + (quarter,))
@@ -376,3 +382,23 @@ def test_dump_bytes_pinned(family, capsys):
     assert main(["piecewise", "--family", family, "--dump"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DUMP_SHA256[family]
+
+
+# sha256 of `lrhive piecewise --family F --point=X` at every X in [-1, 3]^5,
+# text then --json, each output followed by its exit status, all of stderr
+# last; fixed before the sample pieces became a PiecewiseFunction
+POINT_SHA256 = {
+    "gl3": "e5f7027e81cc118084f33886ac9ad6c33cfd8d6cf1ee53ebda374c36f061e50d",
+    "gl4nr2": "d9f606b6a7b0fb8c6818ac8ca7e9996850bfad2398c884e25601daad7249f2c3",
+    "gl4nr-samples": "e575dfcd842126dcf2038cddd136c8b97d562593ad6cc0a6088b61d11af1fe5b",
+}
+
+
+@pytest.mark.parametrize("family", sorted(POINT_SHA256))
+def test_point_output_pinned(family, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", lru_cache(cli.build_parser))  # one parser, 6,250 calls
+    for coords in product(range(-1, 4), repeat=5):
+        for extra in ([], ["--json"]):
+            print(main(["piecewise", "--family", family, "--point=" + ",".join(map(str, coords)), *extra]))
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == POINT_SHA256[family]

@@ -114,8 +114,9 @@ def test_sweep_cases_deterministic():
 def test_sweep_all_pass_small():
     report = sweep(SweepConfig(n=4, max_nr=2, max_mu_size=4, check="conj1"))
     assert report.fails == 0 and report.passes == len(report.verdicts)
-    assert report.elapsed_micros == 0  # deterministic output by default
-    assert all(v.micros == 0 for v in report.verdicts)
+    data = report.as_json()  # deterministic output by default
+    assert data["summary"]["elapsed_micros"] == 0
+    assert all(case["micros"] == 0 for case in data["cases"])
 
 
 def test_sweep_reports_are_byte_identical():
