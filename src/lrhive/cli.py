@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import TABLES_REVISION, __version__
 from .coefficients import METHODS, lr_coefficient
@@ -45,7 +46,10 @@ def _add_triple(sub, nu_required=True, required=True):
     sub.add_argument("--n", type=int, required=required, help="rank (pads omitted zeros)")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than most
+    commands it runs, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lrhive",
         description="Exact Littlewood-Richardson coefficients, counting functions, and conjecture sweeps.",
@@ -241,6 +245,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("use either --config or inline flags, not both")
     if not args.config and not {"n", "max_nr", "max_mu_size", "check"} <= given.keys():
         raise ValueError("sweep needs --config or all of --n --max-nr --max-mu --check")
+    if args.format is not None and args.output is None:
+        raise ValueError("--format shapes the --output file; give --output too")
     try:  # an unreadable --config or an unwritable report path is a usage error
         if args.config:
             with open(args.config) as fh:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrhive
-from lrhive import piecewise
+from lrhive import cli, piecewise
 from lrhive.cli import main
 from lrhive.coefficients import METHODS
 from lrhive.piecewise import FAMILIES, PiecewiseFunction, Polynomial, QuasiPolynomial
@@ -252,6 +253,8 @@ def test_compare_output_exact(capsys, argv, expected):
     # piecewise takes exactly one mode
     ["piecewise", "--family", "gl3", "--dump", "--point", "1,1,1,1,0"],
     ["piecewise", "--family", "gl3", "--point", "1,1,1,1,0", "--verify-range", "1"],
+    # --format shapes the --output file, so it is not accepted without one
+    ["sweep", "--n", "4", "--max-nr", "0", "--max-mu", "1", "--check", "conj1", "--format", "csv"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
     cfg = {"n": 4, "max_nr": 1, "max_mu_size": 2, "check": "conj1"}
@@ -284,6 +287,25 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     monkeypatch.setattr("lrhive.cli.lr_coefficient", broken)
     code = main(["lr", "--lambda", "1", "--mu", "1", "--nu", "2", "--n", "2"])
     assert (code, capsys.readouterr()) == (3, ("", "internal error: RuntimeError: boom\n"))
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "lrhive":  # the top-level parser, not a subcommand's
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run(capsys, "lr", "--lambda", "1", "--mu", "1", "--nu", "2", "--n", "2") == (0, "1\n")
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_usage_errors(capsys):

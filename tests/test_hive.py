@@ -140,12 +140,13 @@ def test_search_plan_invariants(n):
     assert set(held.values()) <= {1}
 
 
-def test_search_plan_fills_column_by_column():
-    """Lines parallel to the lam edge, starting next to it; at rank 4 this is
-    the row-major order (2,1), (3,1), (3,2)."""
-    assert hive._search_plan(4)[0] == (_num((2, 1)), _num((3, 1)), _num((3, 2)))
+def test_search_plan_fills_rows_from_the_mu_edge():
+    """Lines parallel to the mu edge, starting next to it, each read from its
+    nu end: the search starts at (n-1, n-2), beside the (n, n) corner, and
+    ends at (2, 1)."""
+    assert hive._search_plan(4)[0] == tuple(_num(v) for v in [(3, 2), (3, 1), (2, 1)])
     assert hive._search_plan(5)[0] == tuple(
-        _num(v) for v in [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2), (4, 3)])
+        _num(v) for v in [(4, 3), (4, 2), (4, 1), (3, 2), (3, 1), (2, 1)])
 
 
 def test_hives_match_tableaux_ranks_1_to_6():
@@ -160,12 +161,10 @@ def test_hives_match_tableaux_ranks_1_to_6():
                     assert count_hives(lam, mu, nu) == lr_tableaux_count(lam, mu, nu), (lam, mu, nu)
 
 
-def test_search_work_pinned_rank6(monkeypatch):
-    """Deterministic work of the DFS on ROADMAP baseline 1: the number of
-    nodes, summed over every candidate nu (each node reads its vertex's
-    lower rules once).  The row-major order took 553,631 nodes, so undoing
-    the column order fails here, not only in wall time.  The yields do not
-    show it: both orders end at vertex (n-1, n-2) and yield 7,849 leaves."""
+def _search_nodes(monkeypatch, lam, mu):
+    """DFS nodes summed over every candidate nu: the reads of the plan's
+    lower rules in the real ``_search`` (each node reads its vertex's lower
+    rules once)."""
     class Counted(tuple):
         reads = 0
 
@@ -180,11 +179,27 @@ def test_search_work_pinned_rank6(monkeypatch):
         return interior, Counted(lower), upper, boundary_only
 
     monkeypatch.setattr(hive, "_search_plan", counted_plan)
-    lam, mu = Partition((8, 5, 3, 1, 0, 0)), Partition((6, 4, 2, 1, 0, 0))
     for nu in enumerate_nu_candidates(lam, mu):
         for _ in hive._search(lam, mu, nu):
             pass
-    assert Counted.reads == 156_081
+    return Counted.reads
+
+
+def test_search_work_pinned_rank6(monkeypatch):
+    """Deterministic work of the DFS on ROADMAP baseline 1.  The row-major
+    order took 553,631 nodes and the column order 156,081, so undoing the
+    order fails here, not only in wall time.  The last vertex, whose range
+    is summed, is now (2, 1): the 7,849 hives come in 5,925 yields, where
+    both earlier orders ended at (n-1, n-2) and yielded one per hive."""
+    lam, mu = Partition((8, 5, 3, 1, 0, 0)), Partition((6, 4, 2, 1, 0, 0))
+    assert _search_nodes(monkeypatch, lam, mu) == 31_197
+
+
+def test_search_work_pinned_rank7_staircase(monkeypatch):
+    """The rank-7 staircase pair, counted the same way (row-major 908,289,
+    column order 359,208)."""
+    lam, mu = Partition((6, 5, 4, 3, 2, 1, 0)), Partition((5, 4, 3, 2, 1, 0, 0))
+    assert _search_nodes(monkeypatch, lam, mu) == 200_892
 
 
 def test_multiset_pinned_rank6():

@@ -2,14 +2,13 @@
 
 import hashlib
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrhive import cli, piecewise
+from lrhive import piecewise
 from lrhive.cli import main
 from lrhive.partitions import Partition
 from lrhive.piecewise import (
@@ -395,8 +394,7 @@ POINT_SHA256 = {
 
 
 @pytest.mark.parametrize("family", sorted(POINT_SHA256))
-def test_point_output_pinned(family, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "build_parser", lru_cache(cli.build_parser))  # one parser, 6,250 calls
+def test_point_output_pinned(family, capsys):
     for coords in product(range(-1, 4), repeat=5):
         for extra in ([], ["--json"]):
             print(main(["piecewise", "--family", family, "--point=" + ",".join(map(str, coords)), *extra]))
