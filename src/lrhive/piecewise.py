@@ -10,6 +10,7 @@ function, and the ground-truth enumeration they are validated against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,6 +21,7 @@ from itertools import product
 
 from .coefficients import lr_coefficient
 from .partitions import Partition, enumerate_nu_candidates, padded
+from .product import lr_expansion
 
 Rational = Fraction | int
 
@@ -365,7 +367,19 @@ class MultiplicityMultiset:
         return sum(k for v, k in self.counts if v > c)
 
 
-def multiplicity_multiset(lam: Partition, mu: Partition, method: str = "auto") -> MultiplicityMultiset:
+def multiplicity_multiset(lam: Partition, mu: Partition, method: str | None = None) -> MultiplicityMultiset:
+    """The histogram of c_{lam,mu}^nu > 0 over all nu.
+
+    By default it is read from ``lr_expansion``, one search for the whole
+    product; at rank 3 the O(1) closed form per candidate nu is faster than
+    one search leaf per LR tableau, so rank 3 runs ``auto`` per nu.  A name
+    in ``coefficients.METHODS`` computes one coefficient per candidate nu
+    with that backend.
+    """
+    if method is None:
+        if lam.n != 3:
+            return MultiplicityMultiset.make(Counter(lr_expansion(lam, mu).values()))
+        method = "auto"
     counts: dict[int, int] = {}
     for nu in enumerate_nu_candidates(lam, mu):
         coeff = lr_coefficient(lam, mu, nu, method)
@@ -375,7 +389,7 @@ def multiplicity_multiset(lam: Partition, mu: Partition, method: str = "auto") -
 
 
 def count_above_enum(lam: Partition, mu: Partition, c: int) -> int:
-    """#{nu : c_{lam,mu}^nu > c} by direct enumeration over candidates."""
+    """#{nu : c_{lam,mu}^nu > c}, read from the (lam, mu) histogram."""
     if c < 0:
         raise ValueError("threshold must be nonnegative")
     return multiplicity_multiset(lam, mu).count_above(c)

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import MISSING, dataclass, fields
+from itertools import repeat
 from operator import attrgetter
 
 from .formulas import nr_coefficient
@@ -313,14 +314,15 @@ def sweep(config: SweepConfig, version: str = "0") -> VerificationReport:
     cases = sweep_cases(config)
     pairs = list(dict.fromkeys(
         pair for lam, mu in cases for pair in ((lam, mu), (lambda_dagger(lam), mu))))
+    # "auto" per nu, not the product, until ROADMAP item 8 reads the worker's own peak memory
     if config.jobs > 1:
         # imported here: the process pool costs every other run ~20 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            found = list(pool.map(multiplicity_multiset, *zip(*pairs), chunksize=8))
+            found = list(pool.map(multiplicity_multiset, *zip(*pairs), repeat("auto"), chunksize=8))
     else:
-        found = [multiplicity_multiset(lam, mu) for lam, mu in pairs]
+        found = [multiplicity_multiset(lam, mu, "auto") for lam, mu in pairs]
     histograms = dict(zip(pairs, found))
     verdicts = tuple(compare(config.check, lam, mu, require_near_rectangular=False,
                              histogram=lambda *pair: histograms[pair]) for lam, mu in cases)

@@ -66,6 +66,11 @@ def test_multiset_past_the_recursion_limit(capsys):
     assert run(capsys, "multiset", "--lambda", ones, "--mu", "1", "--n", "1101") == (0, "1:2\n")
 
 
+def test_multiset_with_a_thousand_cells(capsys):
+    """The product search keeps its own stack: one level per cell of mu."""
+    assert run(capsys, "multiset", "--lambda", "0", "--mu", "1000", "--n", "1") == (0, "1:1\n")
+
+
 def test_conjecture_commands(capsys):
     code, out = run(capsys, "conj1", "--lambda", "5,3", "--mu", "6,3", "--n", "3")
     assert code == 0 and out.startswith("PASS")

@@ -209,6 +209,13 @@ def test_multiset_pinned_rank6():
     assert (ms.components, ms.mult_sum) == (648, 7849)
 
 
+def test_multiset_pinned_rank7_staircase():
+    """ROADMAP baseline 2, also checked against the tableaux oracle by the
+    multiset-hive benchmark."""
+    ms = multiplicity_multiset(Partition((6, 5, 4, 3, 2, 1, 0)), Partition((5, 4, 3, 2, 1, 0, 0)))
+    assert (ms.components, ms.mult_sum) == (791, 27268)
+
+
 def test_enumerated_hives_are_exactly_the_valid_labelings():
     """Brute-force cross-check on a small boundary: the engine finds every
     integer labeling satisfying all rhombus inequalities, and nothing else."""

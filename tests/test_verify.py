@@ -207,9 +207,9 @@ def test_sweep_computes_each_distinct_histogram_once(monkeypatch):
     calls = Counter()
     computed = verify.multiplicity_multiset
 
-    def counting(lam, mu):
+    def counting(lam, mu, *method):
         calls[lam, mu] += 1
-        return computed(lam, mu)
+        return computed(lam, mu, *method)
 
     monkeypatch.setattr(verify, "multiplicity_multiset", counting)
     cfg = SweepConfig(n=4, max_nr=2, max_mu_size=3, check="conj1")
