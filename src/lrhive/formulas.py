@@ -1,7 +1,8 @@
 """Closed-form coefficient formulas.
 
-Covers the rank-3 interval formula with its 18-inequality threshold test,
-the near-rectangular stability formula for rank >= 4, and the isotypic /
+Covers the rank-3 interval formula, with its 18-inequality threshold test
+and the whole rank-3 decomposition read from it in one pass
+(``gl3_expansion``), the near-rectangular stability formula for rank >= 4, and the isotypic /
 self-dual component counts for the self-dual family (2k, k^{n-2}, 0).
 """
 
@@ -29,21 +30,58 @@ def _require_reduced_rank3(lam: Partition, mu: Partition, nu: Partition):
         raise ValueError("lam and mu must have last part 0 (bar-reduce first)")
 
 
+def _gl3_bounds(l1: int, l2: int, m1: int, m2: int, n1: int, n2: int, n3: int) -> tuple[int, int]:
+    """(lo, hi) of the rank-3 interval for lam = (l1, l2, 0), mu = (m1, m2, 0)
+    and nu = (n1, n2, n3), on plain ints: the one copy of the formula."""
+    lo = max(m1 - l2, m2, n1 - l1, m1 - n3, n2 - l2, m1 + m2 - n2)
+    hi = min(m1, n1 - l2, m1 + m2 - n3)
+    return lo, hi
+
+
 def gl3_interval(lam: Partition, mu: Partition, nu: Partition) -> IntegerInterval:
     """The interval whose cardinality is c_{lam,mu}^nu at rank 3."""
     _require_reduced_rank3(lam, mu, nu)
-    l1, l2 = lam[0], lam[1]
-    m1, m2 = mu[0], mu[1]
-    n1, n2, n3 = nu.parts
-    lo = max(m1 - l2, m2, n1 - l1, m1 - n3, n2 - l2, m1 + m2 - n2)
-    hi = min(m1, n1 - l2, m1 + m2 - n3)
-    return IntegerInterval(lo, hi)
+    return IntegerInterval(*_gl3_bounds(lam[0], lam[1], mu[0], mu[1], *nu.parts))
 
 
 def gl3_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """c_{lam,mu}^nu at rank 3 with lam_3 = mu_3 = 0."""
     interval = gl3_interval(lam, mu, nu)  # validates the input
     return interval.cardinality if nu.size == lam.size + mu.size else 0
+
+
+def _gl3_counts(lam: Partition, mu: Partition) -> dict[tuple[int, int, int], int]:
+    """``gl3_expansion`` keyed by the parts of nu, for callers that read only
+    the coefficients."""
+    if lam.n != mu.n:
+        raise ValueError("rank mismatch")
+    if lam.n != 3:
+        raise ValueError("rank must be 3")
+    shift = lam[2] + mu[2]
+    l1, l2 = lam[0] - lam[2], lam[1] - lam[2]
+    m1, m2 = mu[0] - mu[2], mu[1] - mu[2]
+    total = l1 + l2 + m1 + m2
+    counts = {}
+    for n1 in range(max(l1, m1), l1 + m1 + 1):
+        for n2 in range(min(n1, total - n1), -1, -1):
+            n3 = total - n1 - n2
+            if n3 > n2:
+                break
+            lo, hi = _gl3_bounds(l1, l2, m1, m2, n1, n2, n3)
+            if hi >= lo:
+                counts[n1 + shift, n2 + shift, n3 + shift] = hi - lo + 1
+    return counts
+
+
+def gl3_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """Every nu with c_{lam,mu}^nu > 0 at rank 3, mapped to that coefficient.
+
+    Rank 3's counterpart of ``product.lr_expansion``: shift out
+    lam_3 + mu_3, then walk nu_1 over [max(lam_1, mu_1), lam_1 + mu_1] and
+    nu_2 downward while nu_3 <= nu_2, and keep each nonempty interval's
+    cardinality: O(1) per candidate nu.
+    """
+    return {Partition(nu): c for nu, c in _gl3_counts(lam, mu).items()}
 
 
 def gl3_threshold_forms(lam: Partition, mu: Partition, nu: Partition) -> list[int]:

@@ -20,8 +20,9 @@ from functools import lru_cache
 from itertools import product
 
 from .coefficients import lr_coefficient
+from .formulas import _gl3_counts
 from .partitions import Partition, enumerate_nu_candidates, padded
-from .product import lr_expansion
+from .product import _lr_counts
 
 Rational = Fraction | int
 
@@ -370,16 +371,16 @@ class MultiplicityMultiset:
 def multiplicity_multiset(lam: Partition, mu: Partition, method: str | None = None) -> MultiplicityMultiset:
     """The histogram of c_{lam,mu}^nu > 0 over all nu.
 
-    By default it is read from ``lr_expansion``, one search for the whole
-    product; at rank 3 the O(1) closed form per candidate nu is faster than
-    one search leaf per LR tableau, so rank 3 runs ``auto`` per nu.  A name
-    in ``coefficients.METHODS`` computes one coefficient per candidate nu
-    with that backend.
+    By default it is read from the whole decomposition in one pass:
+    ``formulas.gl3_expansion`` at rank 3, where the interval formula costs
+    O(1) per nu against one search leaf per LR tableau, and
+    ``product.lr_expansion`` at every other rank.  A name in
+    ``coefficients.METHODS`` computes one coefficient per candidate nu with
+    that backend.
     """
     if method is None:
-        if lam.n != 3:
-            return MultiplicityMultiset.make(Counter(lr_expansion(lam, mu).values()))
-        method = "auto"
+        expansion = _gl3_counts(lam, mu) if lam.n == 3 else _lr_counts(lam, mu)
+        return MultiplicityMultiset.make(Counter(expansion.values()))
     counts: dict[int, int] = {}
     for nu in enumerate_nu_candidates(lam, mu):
         coeff = lr_coefficient(lam, mu, nu, method)

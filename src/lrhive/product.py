@@ -42,13 +42,19 @@ def lr_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
     Depth-first over the fillings of shape mu with its own stack, so it has
     no depth limit.  One node is one value placed in one cell.
     """
+    return {Partition(nu): c for nu, c in _lr_counts(lam, mu).items()}
+
+
+def _lr_counts(lam: Partition, mu: Partition) -> dict[tuple[int, ...], int]:
+    """``lr_expansion`` keyed by the parts of nu, for callers that read only
+    the coefficients."""
     if lam.n != mu.n:
         raise ValueError("rank mismatch")
     n = lam.n
     right, next_above = _fill_plan(mu.parts)
     m = len(right)
     if not m:
-        return {lam: 1}
+        return {lam.parts: 1}
     vals = [0] * m + [n, 0]
     wt = list(lam.parts)  # lam plus the weight of the cells filled so far
     counts: dict[tuple[int, ...], int] = {}
@@ -76,4 +82,4 @@ def lr_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
             vals[k] = v
             k += 1
             v = vals[up] + 1
-    return {Partition(nu): c for nu, c in counts.items()}
+    return counts

@@ -1,15 +1,19 @@
-"""Tests for the product backend: lr_expansion against the per-nu engines,
-its work pins, and the histograms read from it."""
+"""Tests for the product backends: lr_expansion and the rank-3
+gl3_expansion against the per-nu engines, the product's work pins, and the
+histograms read from them."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from lrhive import piecewise, product
+from lrhive.coefficients import lr_coefficient
+from lrhive.formulas import gl3_expansion
 from lrhive.hive import count_hives
 from lrhive.partitions import Partition, enumerate_nu_candidates, partitions_of
-from lrhive.piecewise import multiplicity_multiset
+from lrhive.piecewise import MultiplicityMultiset, multiplicity_multiset
 from lrhive.product import lr_expansion
 from lrhive.tableaux import lr_tableaux_count
 
@@ -30,6 +34,11 @@ def pairs_up_to(max_n, max_total):
                         yield pad(ls, n), pad(ms, n)
 
 
+def rank3_up_to(max_size):
+    """Every rank-3 partition of size at most max_size, last part free."""
+    return [pad(shape, 3) for size in range(max_size + 1) for shape in partitions_of(size, 3)]
+
+
 def per_nu(lam, mu, coefficient):
     return {nu: c for nu in enumerate_nu_candidates(lam, mu) if (c := coefficient(lam, mu, nu))}
 
@@ -45,15 +54,44 @@ def test_matches_tableaux_oracle():
         assert lr_expansion(lam, mu) == per_nu(lam, mu, lr_tableaux_count), (lam, mu)
 
 
+def test_gl3_expansion_matches_per_nu_closed_form():
+    """Every rank-3 lam, mu with |lam|, |mu| <= 9 (2,809 pairs, lam_3 and
+    mu_3 free) against ``auto`` per nu, and its histogram against the per-nu
+    ``gl3`` loop where that applies (lam_3 = mu_3 = 0)."""
+    shapes = rank3_up_to(9)
+    assert len(shapes) ** 2 == 2_809
+    for lam in shapes:
+        for mu in shapes:
+            expansion = gl3_expansion(lam, mu)
+            assert expansion == per_nu(lam, mu, lr_coefficient), (lam, mu)
+            if lam[2] == mu[2] == 0:
+                histogram = MultiplicityMultiset.make(Counter(expansion.values()))
+                assert histogram == multiplicity_multiset(lam, mu, method="gl3"), (lam, mu)
+
+
+def test_gl3_expansion_matches_product_and_tableaux():
+    shapes = rank3_up_to(6)
+    for lam in shapes:
+        for mu in shapes:
+            expansion = gl3_expansion(lam, mu)
+            assert expansion == lr_expansion(lam, mu), (lam, mu)
+            if lam.size + mu.size <= 8:
+                assert expansion == per_nu(lam, mu, lr_tableaux_count), (lam, mu)
+
+
 def test_edge_cases():
     lam = Partition((3, 1, 0))
     assert lr_expansion(lam, Partition((0, 0, 0))) == {lam: 1}
+    for lam in (Partition((3, 1, 0)), Partition((4, 2, 1)), Partition((0, 0, 0))):
+        assert gl3_expansion(lam, Partition((0, 0, 0))) == {lam: 1}
+        assert gl3_expansion(Partition((0, 0, 0)), lam) == {lam: 1}
     assert lr_expansion(Partition((0,)), Partition((0,))) == {Partition((0,)): 1}
     assert lr_expansion(Partition((2,)), Partition((5,))) == {Partition((7,)): 1}
     # full columns on both sides, with no bar reduction: shift the rank-3 answer
     expected = {Partition(tuple(p + 3 for p in nu)): c
                 for nu, c in lr_expansion(Partition((2, 1, 0)), Partition((2, 1, 0))).items()}
     assert lr_expansion(Partition((4, 3, 2)), Partition((3, 2, 1))) == expected
+    assert gl3_expansion(Partition((4, 3, 2)), Partition((3, 2, 1))) == expected
     assert expected[Partition((6, 5, 4))] == 2
 
 
@@ -62,6 +100,19 @@ def test_rank_mismatch_raises():
         lr_expansion(Partition((1, 0)), Partition((1, 0, 0)))
     with pytest.raises(ValueError, match="rank mismatch"):
         multiplicity_multiset(Partition((1, 0)), Partition((1, 0, 0)))
+
+
+def test_rank3_rank_mismatch_raises():
+    """A rank-3 lam with a rank-2 mu, in either order, is a rank mismatch
+    on the rank-3 default path too, not a failed tuple unpacking."""
+    rank3, rank2 = Partition((2, 1, 0)), Partition((1, 0))
+    for lam, mu in ((rank3, rank2), (rank2, rank3)):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            gl3_expansion(lam, mu)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            multiplicity_multiset(lam, mu)
+    with pytest.raises(ValueError, match="rank must be 3"):
+        gl3_expansion(rank2, rank2)
 
 
 def _product_nodes(monkeypatch, lam, mu):
@@ -105,12 +156,15 @@ def test_default_histogram_matches_hive_on_benchmark_pairs():
         assert multiplicity_multiset(lam, mu) == multiplicity_multiset(lam, mu, method="hive")
 
 
-def test_rank3_default_runs_per_nu(monkeypatch):
-    """At rank 3 the closed form per nu beats one leaf per LR tableau."""
-    def refuse(lam, mu):
-        raise AssertionError("rank 3 must not run the product")
+def test_rank3_default_reads_closed_form_expansion(monkeypatch):
+    """At rank 3 the default histogram is read from gl3_expansion's one
+    pass: neither the product search nor the per-nu loop runs."""
+    pairs = [(lam, mu) for lam, mu in pairs_up_to(3, 8) if lam.n == 3]
+    expected = [multiplicity_multiset(lam, mu, method="auto") for lam, mu in pairs]
 
-    monkeypatch.setattr(piecewise, "lr_expansion", refuse)
-    for lam, mu in pairs_up_to(3, 8):
-        if lam.n == 3:
-            assert multiplicity_multiset(lam, mu) == multiplicity_multiset(lam, mu, method="auto")
+    def refuse(*args):
+        raise AssertionError("the rank-3 default must read gl3_expansion")
+
+    for name in ("_lr_counts", "lr_coefficient", "enumerate_nu_candidates"):
+        monkeypatch.setattr(piecewise, name, refuse)
+    assert [multiplicity_multiset(lam, mu) for lam, mu in pairs] == expected
