@@ -1,9 +1,10 @@
 """Closed-form coefficient formulas.
 
 Covers the rank-3 interval formula, with its 18-inequality threshold test
-and the whole rank-3 decomposition read from it in one pass
-(``gl3_expansion``), the near-rectangular stability formula for rank >= 4, and the isotypic /
-self-dual component counts for the self-dual family (2k, k^{n-2}, 0).
+and the whole rank-3 decomposition read from it in one pass (the rank-3 case
+of ``product.lr_expansion``), the near-rectangular stability formula for
+rank >= 4, and the isotypic / self-dual component counts for the self-dual
+family (2k, k^{n-2}, 0).
 """
 
 from __future__ import annotations
@@ -51,11 +52,14 @@ def gl3_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 def _gl3_counts(lam: Partition, mu: Partition) -> dict[tuple[int, int, int], int]:
-    """``gl3_expansion`` keyed by the parts of nu, for callers that read only
-    the coefficients."""
-    if lam.n != mu.n:
-        raise ValueError("rank mismatch")
-    if lam.n != 3:
+    """Every nu with c_{lam,mu}^nu > 0 at rank 3, keyed by its parts and
+    mapped to that coefficient: ``product.lr_expansion`` at rank 3.
+
+    Shift out lam_3 + mu_3, then walk nu_1 over [max(lam_1, mu_1),
+    lam_1 + mu_1] and nu_2 downward while nu_3 <= nu_2, and keep each
+    nonempty interval's cardinality: O(1) per candidate nu.
+    """
+    if not lam.n == mu.n == 3:
         raise ValueError("rank must be 3")
     shift = lam[2] + mu[2]
     l1, l2 = lam[0] - lam[2], lam[1] - lam[2]
@@ -71,17 +75,6 @@ def _gl3_counts(lam: Partition, mu: Partition) -> dict[tuple[int, int, int], int
             if hi >= lo:
                 counts[n1 + shift, n2 + shift, n3 + shift] = hi - lo + 1
     return counts
-
-
-def gl3_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Every nu with c_{lam,mu}^nu > 0 at rank 3, mapped to that coefficient.
-
-    Rank 3's counterpart of ``product.lr_expansion``: shift out
-    lam_3 + mu_3, then walk nu_1 over [max(lam_1, mu_1), lam_1 + mu_1] and
-    nu_2 downward while nu_3 <= nu_2, and keep each nonempty interval's
-    cardinality: O(1) per candidate nu.
-    """
-    return {Partition(nu): c for nu, c in _gl3_counts(lam, mu).items()}
 
 
 def gl3_threshold_forms(lam: Partition, mu: Partition, nu: Partition) -> list[int]:

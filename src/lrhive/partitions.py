@@ -87,21 +87,6 @@ def is_near_rectangular(lam: Partition) -> bool:
     return all(p == middle[0] for p in middle) if middle else True
 
 
-@dataclass(frozen=True)
-class FundamentalCoords:
-    """Coordinates (k1, k2) for k1*w_1 + k2*w_{n-1} at rank n in {3, 4}."""
-
-    k1: int
-    k2: int
-    n: int
-
-    def __post_init__(self):
-        if self.n not in (3, 4):
-            raise ValueError(f"rank {self.n} not in {{3, 4}}")
-        if self.k1 < 0 or self.k2 < 0:
-            raise ValueError("fundamental coordinates must be nonnegative")
-
-
 def padded(head: tuple[int, ...], middle: int, tail: tuple[int, ...], n: int) -> Partition:
     """The rank-n partition head, middle^{n - len(head) - len(tail)}, tail.
 
@@ -112,11 +97,6 @@ def padded(head: tuple[int, ...], middle: int, tail: tuple[int, ...], n: int) ->
     if fill < 0:
         raise ValueError(f"{len(head)} + {len(tail)} fixed parts exceed rank {n}")
     return Partition(head + (middle,) * fill + tail)
-
-
-def from_fundamental(coords: FundamentalCoords) -> Partition:
-    """The near-rectangular partition (k1+k2, k2^{n-2}, 0)."""
-    return padded((coords.k1 + coords.k2,), coords.k2, (0,), coords.n)
 
 
 def partitions_of(total: int, max_parts: int, max_first: int | None = None) -> Iterator[tuple[int, ...]]:

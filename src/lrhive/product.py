@@ -1,17 +1,21 @@
-"""The whole decomposition of V(lam) (x) V(mu) in one search.
+"""The whole decomposition of V(lam) (x) V(mu): every nu with c > 0, in one pass.
 
-The tableau form of the Littlewood-Richardson rule builds s_lam * s_mu
-directly (Fulton, *Young Tableaux*, 1997, section 5; the rule of Buch's
-lrcalc ``mult``): fill shape mu with entries at most n, rows weakly
-increasing and columns strictly increasing, and read it top row first, each
-row right to left.  Keep a filling only while lam plus the weight read so far
-stays a partition.  Each kept filling T adds 1 to c_{lam,mu}^nu for
-nu = lam + wt(T), so no nu with c = 0 is ever visited, and lam_n > 0 or
-mu_n > 0 needs no bar reduction.
+``lr_expansion`` is the one decomposition map, at every rank.  At rank 3 it
+reads the interval formula (``formulas._gl3_counts``), O(1) per candidate
+nu, where the search below would make one leaf per LR tableau.  At every
+other rank it runs the tableau form of the Littlewood-Richardson rule,
+which builds s_lam * s_mu directly (Fulton, *Young Tableaux*, 1997, section
+5; the rule of Buch's lrcalc ``mult``): fill shape mu with entries at most n,
+rows weakly increasing and columns strictly increasing, and read it top row
+first, each row right to left.  Keep a filling only while lam plus the
+weight read so far stays a partition.  Each kept filling T adds 1 to
+c_{lam,mu}^nu for nu = lam + wt(T), so no nu with c = 0 is ever visited,
+and lam_n > 0 or mu_n > 0 needs no bar reduction.
 """
 
 from __future__ import annotations
 
+from .formulas import _gl3_counts
 from .partitions import Partition
 
 
@@ -37,19 +41,25 @@ def _fill_plan(mu: tuple[int, ...]):
 
 
 def lr_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Every nu with c_{lam,mu}^nu > 0, mapped to that coefficient.
-
-    Depth-first over the fillings of shape mu with its own stack, so it has
-    no depth limit.  One node is one value placed in one cell.
-    """
+    """Every nu with c_{lam,mu}^nu > 0, mapped to that coefficient, for lam
+    and mu of any one rank."""
     return {Partition(nu): c for nu, c in _lr_counts(lam, mu).items()}
 
 
 def _lr_counts(lam: Partition, mu: Partition) -> dict[tuple[int, ...], int]:
     """``lr_expansion`` keyed by the parts of nu, for callers that read only
-    the coefficients."""
+    the coefficients: the closed form at rank 3, the tableau search otherwise."""
     if lam.n != mu.n:
         raise ValueError("rank mismatch")
+    return _gl3_counts(lam, mu) if lam.n == 3 else _tableau_counts(lam, mu)
+
+
+def _tableau_counts(lam: Partition, mu: Partition) -> dict[tuple[int, ...], int]:
+    """The LR-tableau search for lam, mu of one rank.
+
+    Depth-first over the fillings of shape mu with its own stack, so it has
+    no depth limit.  One node is one value placed in one cell.
+    """
     n = lam.n
     right, next_above = _fill_plan(mu.parts)
     m = len(right)

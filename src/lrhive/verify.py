@@ -195,12 +195,19 @@ class SweepConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, not {self.output_path!r}")
+        if self.output_format != "json" and self.output_path is None:
+            raise ValueError("output_format shapes the output_path file; give output_path too")
         for name, depth, shape in (("extra_cases", 3, "[lambda, mu] pairs of integer lists"),
                                    ("expected_fail_lambdas", 2, "integer lists")):
             value = _nested_ints(getattr(self, name), depth)
             if value is None or (depth == 3 and any(len(case) != 2 for case in value)):
                 raise ValueError(f"{name} must be a list of {shape}, not {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
+        for lam in self.expected_fail_lambdas:  # any rank: it may match an extra_cases lambda
+            try:
+                Partition(lam)
+            except ValueError as exc:
+                raise ValueError(f"expected_fail_lambdas: {exc}") from None
 
     def as_json(self) -> dict:
         return {

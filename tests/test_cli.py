@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -57,6 +58,28 @@ def test_multiset(capsys):
     data = json.loads(out)
     assert data["multiset"] == {"1": 11, "2": 7, "3": 3}
     assert data["components"] == 21 and data["mult_sum"] == 34
+
+
+# (lambda, mu, n) for `lrhive multiset`, ranks 1-7: rank 3 with lambda_3, mu_3 > 0
+# and with mu = 0, both benchmark anchors, and a lambda too long for its rank
+MULTISET_CASES = (
+    ("3", "5", 1), ("4,1", "3,2", 2), ("0,0", "2,1", 2),
+    ("5,2,1", "4,3,2", 3), ("4,2", "0", 3), ("3,1", "2,1", 3), ("0", "3,3", 3),
+    ("3,1,1", "2,2,1", 4), ("5,3,1", "5,3,1", 4), ("3,3,2", "4,4,1", 5),
+    ("8,5,3,1", "6,4,2,1", 6), ("6,5,4,3,2,1", "5,4,3,2,1", 7),
+    ("1,1,1,1", "1", 3),
+)
+# sha256 of each case's text then --json output, each followed by its exit
+# status, all of stderr last; fixed before lr_expansion took over rank 3
+MULTISET_SHA256 = "a6a54c160d773b692fc7a44e4ab04dfa2858d46867b45514711f7416d22c9518"
+
+
+def test_multiset_output_pinned(capsys):
+    for lam, mu, n in MULTISET_CASES:
+        for extra in ([], ["--json"]):
+            print(main(["multiset", "--lambda", lam, "--mu", mu, "--n", str(n), *extra]))
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == MULTISET_SHA256
 
 
 def test_multiset_past_the_recursion_limit(capsys):
@@ -245,6 +268,10 @@ def test_compare_output_exact(capsys, argv, expected):
     ["sweep", "--config", "{scalar_cases}"],
     ["sweep", "--config", "{scalar_fail}"],
     ["sweep", "--config", "{list_output}"],
+    # a csv report needs a file to go to, and an expected failure must be a partition
+    ["sweep", "--config", "{csv_no_output}"],
+    ["sweep", "--config", "{unsorted_fail}"],
+    ["sweep", "--config", "{negative_fail}"],
     # horn triples outside the facet systems' domain
     ["horn", "--family", "nr2", "--lambda", "1", "--mu", "1", "--nu", "2", "--n", "3"],
     ["horn", "--family", "nr2", "--lambda", "1", "--mu", "1", "--nu", "2", "--n", "3", "--json"],
@@ -267,7 +294,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
              "scalar": 5, "array": [1], "string_n": {**cfg, "n": "4"},
              "scalar_cases": {**cfg, "extra_cases": 3},
              "scalar_fail": {**cfg, "expected_fail_lambdas": [3]},
-             "list_output": {**cfg, "output_path": ["out.json"]}}
+             "list_output": {**cfg, "output_path": ["out.json"]},
+             "csv_no_output": {**cfg, "output_format": "csv"},
+             "unsorted_fail": {**cfg, "expected_fail_lambdas": [[1, 2, 3, 4, 5]]},
+             "negative_fail": {**cfg, "expected_fail_lambdas": [[2, 1, 0, -1]]}}
     paths = {name: tmp_path / f"{name}.json" for name in [*files, "absent"]}
     for name, content in files.items():
         paths[name].write_text(json.dumps(content))

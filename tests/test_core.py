@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrhive.partitions import (
-    FundamentalCoords,
     Partition,
     bar_reduce,
     dual_star,
     enumerate_nu_candidates,
-    from_fundamental,
     is_near_rectangular,
     padded,
     partitions_of,
@@ -79,20 +77,6 @@ def test_near_rectangular():
     assert is_near_rectangular(Partition((7, 2, 2, 2, 0)))
     assert is_near_rectangular(Partition((5, 3, 0)))  # rank 3: always
     assert not is_near_rectangular(Partition((3, 3, 2, 0, 0)))
-
-
-def test_fundamental_coords_round_trip():
-    for k1 in range(4):
-        for k2 in range(4):
-            for n in (3, 4):
-                lam = from_fundamental(FundamentalCoords(k1, k2, n))
-                assert lam.n == n
-                assert is_near_rectangular(lam)
-                assert lam[0] - lam[1] == k1 and lam[1] == k2
-    with pytest.raises(ValueError):
-        FundamentalCoords(1, 1, 5)
-    with pytest.raises(ValueError):
-        FundamentalCoords(-1, 0, 3)
 
 
 def test_padded():

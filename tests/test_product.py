@@ -1,6 +1,6 @@
-"""Tests for the product backends: lr_expansion and the rank-3
-gl3_expansion against the per-nu engines, the product's work pins, and the
-histograms read from them."""
+"""Tests for the decomposition map lr_expansion: its two cores (the rank-3
+closed form and the LR-tableau search) against each other and the per-nu
+engines, the search's work pins, and the histograms read from the map."""
 
 import json
 from collections import Counter
@@ -10,7 +10,7 @@ import pytest
 
 from lrhive import piecewise, product
 from lrhive.coefficients import lr_coefficient
-from lrhive.formulas import gl3_expansion
+from lrhive.formulas import _gl3_counts
 from lrhive.hive import count_hives
 from lrhive.partitions import Partition, enumerate_nu_candidates, partitions_of
 from lrhive.piecewise import MultiplicityMultiset, multiplicity_multiset
@@ -55,14 +55,15 @@ def test_matches_tableaux_oracle():
 
 
 def test_gl3_expansion_matches_per_nu_closed_form():
-    """Every rank-3 lam, mu with |lam|, |mu| <= 9 (2,809 pairs, lam_3 and
-    mu_3 free) against ``auto`` per nu, and its histogram against the per-nu
-    ``gl3`` loop where that applies (lam_3 = mu_3 = 0)."""
+    """``lr_expansion`` at rank 3: every lam, mu with |lam|, |mu| <= 9
+    (2,809 pairs, lam_3 and mu_3 free) against ``auto`` per nu, and its
+    histogram against the per-nu ``gl3`` loop where that applies
+    (lam_3 = mu_3 = 0)."""
     shapes = rank3_up_to(9)
     assert len(shapes) ** 2 == 2_809
     for lam in shapes:
         for mu in shapes:
-            expansion = gl3_expansion(lam, mu)
+            expansion = lr_expansion(lam, mu)
             assert expansion == per_nu(lam, mu, lr_coefficient), (lam, mu)
             if lam[2] == mu[2] == 0:
                 histogram = MultiplicityMultiset.make(Counter(expansion.values()))
@@ -70,29 +71,33 @@ def test_gl3_expansion_matches_per_nu_closed_form():
 
 
 def test_gl3_expansion_matches_product_and_tableaux():
+    """The rank-3 closed form against the tableau search it replaces there,
+    and against the tableaux oracle."""
     shapes = rank3_up_to(6)
     for lam in shapes:
         for mu in shapes:
-            expansion = gl3_expansion(lam, mu)
-            assert expansion == lr_expansion(lam, mu), (lam, mu)
+            counts = _gl3_counts(lam, mu)
+            assert counts == product._tableau_counts(lam, mu), (lam, mu)
             if lam.size + mu.size <= 8:
-                assert expansion == per_nu(lam, mu, lr_tableaux_count), (lam, mu)
+                tableaux = per_nu(lam, mu, lr_tableaux_count)
+                assert counts == {nu.parts: c for nu, c in tableaux.items()}, (lam, mu)
 
 
 def test_edge_cases():
-    lam = Partition((3, 1, 0))
-    assert lr_expansion(lam, Partition((0, 0, 0))) == {lam: 1}
-    for lam in (Partition((3, 1, 0)), Partition((4, 2, 1)), Partition((0, 0, 0))):
-        assert gl3_expansion(lam, Partition((0, 0, 0))) == {lam: 1}
-        assert gl3_expansion(Partition((0, 0, 0)), lam) == {lam: 1}
+    zero = Partition((0, 0, 0))
+    for lam in (Partition((3, 1, 0)), Partition((4, 2, 1)), zero):
+        assert lr_expansion(lam, zero) == {lam: 1}
+        assert lr_expansion(zero, lam) == {lam: 1}
+        assert product._tableau_counts(lam, zero) == {lam.parts: 1}
     assert lr_expansion(Partition((0,)), Partition((0,))) == {Partition((0,)): 1}
     assert lr_expansion(Partition((2,)), Partition((5,))) == {Partition((7,)): 1}
     # full columns on both sides, with no bar reduction: shift the rank-3 answer
-    expected = {Partition(tuple(p + 3 for p in nu)): c
-                for nu, c in lr_expansion(Partition((2, 1, 0)), Partition((2, 1, 0))).items()}
-    assert lr_expansion(Partition((4, 3, 2)), Partition((3, 2, 1))) == expected
-    assert gl3_expansion(Partition((4, 3, 2)), Partition((3, 2, 1))) == expected
-    assert expected[Partition((6, 5, 4))] == 2
+    expected = {tuple(p + 3 for p in nu): c
+                for nu, c in product._tableau_counts(Partition((2, 1, 0)), Partition((2, 1, 0))).items()}
+    full_lam, full_mu = Partition((4, 3, 2)), Partition((3, 2, 1))
+    assert product._tableau_counts(full_lam, full_mu) == expected
+    assert lr_expansion(full_lam, full_mu) == {Partition(nu): c for nu, c in expected.items()}
+    assert expected[6, 5, 4] == 2
 
 
 def test_rank_mismatch_raises():
@@ -104,20 +109,21 @@ def test_rank_mismatch_raises():
 
 def test_rank3_rank_mismatch_raises():
     """A rank-3 lam with a rank-2 mu, in either order, is a rank mismatch
-    on the rank-3 default path too, not a failed tuple unpacking."""
+    on the rank-3 path too, not a failed tuple unpacking."""
     rank3, rank2 = Partition((2, 1, 0)), Partition((1, 0))
     for lam, mu in ((rank3, rank2), (rank2, rank3)):
         with pytest.raises(ValueError, match="rank mismatch"):
-            gl3_expansion(lam, mu)
+            lr_expansion(lam, mu)
         with pytest.raises(ValueError, match="rank mismatch"):
             multiplicity_multiset(lam, mu)
-    with pytest.raises(ValueError, match="rank must be 3"):
-        gl3_expansion(rank2, rank2)
+    for lam, mu in ((rank2, rank2), (rank3, rank2)):
+        with pytest.raises(ValueError, match="rank must be 3"):
+            _gl3_counts(lam, mu)
 
 
 def _product_nodes(monkeypatch, lam, mu):
-    """Values placed by the real ``lr_expansion``: each placement reads the
-    plan's ``next_above`` once."""
+    """Values placed by the tableau search behind ``lr_expansion`` (ranks
+    other than 3): each placement reads the plan's ``next_above`` once."""
     class Counted(tuple):
         reads = 0
 
@@ -157,14 +163,17 @@ def test_default_histogram_matches_hive_on_benchmark_pairs():
 
 
 def test_rank3_default_reads_closed_form_expansion(monkeypatch):
-    """At rank 3 the default histogram is read from gl3_expansion's one
-    pass: neither the product search nor the per-nu loop runs."""
+    """At rank 3 the map and the default histogram are read from the closed
+    form's one pass: neither the tableau search nor the per-nu loop runs."""
     pairs = [(lam, mu) for lam, mu in pairs_up_to(3, 8) if lam.n == 3]
     expected = [multiplicity_multiset(lam, mu, method="auto") for lam, mu in pairs]
+    maps = [per_nu(lam, mu, lr_coefficient) for lam, mu in pairs]
 
     def refuse(*args):
-        raise AssertionError("the rank-3 default must read gl3_expansion")
+        raise AssertionError("rank 3 must read the closed form")
 
-    for name in ("_lr_counts", "lr_coefficient", "enumerate_nu_candidates"):
+    monkeypatch.setattr(product, "_tableau_counts", refuse)
+    for name in ("lr_coefficient", "enumerate_nu_candidates"):
         monkeypatch.setattr(piecewise, name, refuse)
     assert [multiplicity_multiset(lam, mu) for lam, mu in pairs] == expected
+    assert [lr_expansion(lam, mu) for lam, mu in pairs] == maps

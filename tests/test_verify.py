@@ -100,7 +100,19 @@ def test_sweep_config_validation():
         SweepConfig(n=4, max_nr=-1, max_mu_size=4, check="conj1")
     with pytest.raises(ValueError, match="missing .*'max_nr', 'max_mu_size', 'check'"):
         SweepConfig.from_json({"n": 4})
+    with pytest.raises(ValueError, match="give output_path too"):
+        SweepConfig(n=4, max_nr=1, max_mu_size=2, check="conj1", output_format="csv")
     cfg = SweepConfig(n=4, max_nr=1, max_mu_size=2, check="conj1")
+    assert SweepConfig.from_json(cfg.as_json()) == cfg  # "output_format": "json", no path
+
+
+def test_expected_fail_lambdas_must_be_partitions():
+    base = dict(n=4, max_nr=0, max_mu_size=1, check="conj1")
+    for bad in ([1, 2, 3, 4, 5], [2, 1, 0, -1], []):
+        with pytest.raises(ValueError, match="expected_fail_lambdas: "):
+            SweepConfig.from_json({**base, "expected_fail_lambdas": [[3, 1, 0, 0], bad]})
+    # another rank is allowed: it can match an extra_cases lambda
+    cfg = SweepConfig(**base, expected_fail_lambdas=((3, 3, 2, 0, 0),))
     assert SweepConfig.from_json(cfg.as_json()) == cfg
 
 
