@@ -9,19 +9,7 @@ family (2k, k^{n-2}, 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import Partition, is_near_rectangular, padded
-
-
-@dataclass(frozen=True)
-class IntegerInterval:
-    lo: int
-    hi: int
-
-    @property
-    def cardinality(self) -> int:
-        return max(0, self.hi - self.lo + 1)
 
 
 def _require_reduced_rank3(lam: Partition, mu: Partition, nu: Partition):
@@ -39,16 +27,14 @@ def _gl3_bounds(l1: int, l2: int, m1: int, m2: int, n1: int, n2: int, n3: int) -
     return lo, hi
 
 
-def gl3_interval(lam: Partition, mu: Partition, nu: Partition) -> IntegerInterval:
-    """The interval whose cardinality is c_{lam,mu}^nu at rank 3."""
-    _require_reduced_rank3(lam, mu, nu)
-    return IntegerInterval(*_gl3_bounds(lam[0], lam[1], mu[0], mu[1], *nu.parts))
-
-
 def gl3_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """c_{lam,mu}^nu at rank 3 with lam_3 = mu_3 = 0."""
-    interval = gl3_interval(lam, mu, nu)  # validates the input
-    return interval.cardinality if nu.size == lam.size + mu.size else 0
+    """c_{lam,mu}^nu at rank 3 with lam_3 = mu_3 = 0: the size of an
+    integer interval."""
+    _require_reduced_rank3(lam, mu, nu)
+    if nu.size != lam.size + mu.size:
+        return 0
+    lo, hi = _gl3_bounds(lam[0], lam[1], mu[0], mu[1], *nu.parts)
+    return max(0, hi - lo + 1)
 
 
 def _gl3_counts(lam: Partition, mu: Partition) -> dict[tuple[int, int, int], int]:
@@ -127,14 +113,14 @@ def _require_nr_pair(lam: Partition, mu: Partition):
         raise ValueError("lam and mu must have last part 0 (bar-reduce first)")
 
 
-def nr_interval(lam: Partition, mu: Partition, nu: Partition) -> IntegerInterval:
-    l1, l2 = lam[0], lam[1]
-    m1, m2 = mu[0], mu[1]
-    n = lam.n
-    n1, n2, nl, nn = nu[0], nu[1], nu[n - 2], nu[n - 1]
-    lo = max(0, l2 + m1 - n1, -m2 + nn)
-    hi = min(l1 + m1 - n1, l2 + m1 - n2, -l2 - m2 + nl + nn, -m2 + nl)
-    return IntegerInterval(lo, hi)
+def _nr_bounds(l1: int, l2: int, m1: int, m2: int,
+               n1: int, n2: int, nl: int, nn: int) -> tuple[int, int]:
+    """(lo, hi) of the near-rectangular interval for lam = (l1, l2^{n-2}, 0),
+    mu = (m1, m2^{n-2}, 0) and a pinched nu = (n1, n2, ..., nl, nn), on plain
+    ints: the one copy of the formula."""
+    lo = max(0, l2 + m1 - n1, nn - m2)
+    hi = min(l1 + m1 - n1, l2 + m1 - n2, nl + nn - l2 - m2, nl - m2)
+    return lo, hi
 
 
 def nr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -155,28 +141,29 @@ def nr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         return 0
     if not (nu[1] >= mid >= nu[n - 2]):
         return 0
-    return nr_interval(lam, mu, nu).cardinality
+    lo, hi = _nr_bounds(lam[0], lam[1], mu[0], mu[1], nu[0], nu[1], nu[n - 2], nu[n - 1])
+    return max(0, hi - lo + 1)
 
 
 def nr_support(lam: Partition, mu: Partition) -> list[tuple[Partition, int]]:
     """All nu with positive coefficient for near-rectangular lam, mu, with
-    the coefficient; scans the constrained shape directly."""
+    the coefficient; scans the pinched shape directly, on ints, and builds
+    a ``Partition`` only for nu with c > 0."""
     _require_nr_pair(lam, mu)
     n = lam.n
-    mid = lam[1] + mu[1]
-    free_sum = lam[0] + 2 * lam[1] + mu[0] + 2 * mu[1]  # nu1+nu2+nu_{n-1}+nu_n
-    top = lam[0] + mu[0]
+    l1, l2, m1, m2 = lam[0], lam[1], mu[0], mu[1]
+    mid = l2 + m2
+    free_sum = l1 + m1 + 2 * mid  # nu1+nu2+nu_{n-1}+nu_n
     out = []
-    for n1 in range(top, mid - 1, -1):
+    for n1 in range(l1 + m1, mid - 1, -1):
         for n2 in range(min(n1, free_sum - n1), mid - 1, -1):
             for nl in range(mid, -1, -1):
                 nn = free_sum - n1 - n2 - nl
                 if nn < 0 or nn > nl:
                     continue
-                nu = padded((n1, n2), mid, (nl, nn), n)
-                coeff = nr_coefficient(lam, mu, nu)
-                if coeff > 0:
-                    out.append((nu, coeff))
+                lo, hi = _nr_bounds(l1, l2, m1, m2, n1, n2, nl, nn)
+                if hi >= lo:
+                    out.append((padded((n1, n2), mid, (nl, nn), n), hi - lo + 1))
     return out
 
 

@@ -176,18 +176,6 @@ def hilbert_generators(face: str) -> list[RayGenerator]:
     return list(facet_system(face).generators)
 
 
-def weyl_check(lam: Partition, mu: Partition, nu: Partition) -> bool:
-    """nu_{i+j-1} <= lam_i + mu_j for all i + j - 1 <= n."""
-    n = lam.n
-    if mu.n != n or nu.n != n:
-        raise ValueError("rank mismatch")
-    for i in range(1, n + 1):
-        for j in range(1, n + 2 - i):
-            if nu[i + j - 2] > lam[i - 1] + mu[j - 1]:
-                return False
-    return True
-
-
 def horn4_nr2_member(lam: Partition, mu: Partition, nu: Partition) -> bool:
     """Nonvanishing test for rank 4 with both lam and mu near-rectangular."""
     return not NR2_SYSTEM.violated(lam, mu, nu)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
 from operator import attrgetter
@@ -315,18 +316,21 @@ def sweep(config: SweepConfig, version: str = "0") -> VerificationReport:
     """Run the configured check over the whole grid.
 
     lam-dagger of grid point (a, b) is grid point (b, a), so each distinct
-    (lam, mu) histogram is computed once, over ``jobs`` processes.  Case
-    order is canonical and the report is byte-identical across runs.
+    (lam, mu) histogram is computed once, over at most ``jobs`` processes:
+    never more than there are pairs or CPUs, since the pool forks every
+    worker up front.  Case order is canonical and the report is
+    byte-identical across runs.
     """
     cases = sweep_cases(config)
     pairs = list(dict.fromkeys(
         pair for lam, mu in cases for pair in ((lam, mu), (lambda_dagger(lam), mu))))
+    workers = min(config.jobs, len(pairs), os.cpu_count() or 1)
     # "auto" per nu, not the product, until ROADMAP item 8 reads the worker's own peak memory
-    if config.jobs > 1:
+    if workers > 1:
         # imported here: the process pool costs every other run ~20 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             found = list(pool.map(multiplicity_multiset, *zip(*pairs), repeat("auto"), chunksize=8))
     else:
         found = [multiplicity_multiset(lam, mu, "auto") for lam, mu in pairs]

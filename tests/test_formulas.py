@@ -1,22 +1,25 @@
 """Tests for the closed-form coefficient formulas."""
 
+import hashlib
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrhive import coefficients
+from lrhive import coefficients, formulas
 from lrhive.coefficients import lr_coefficient
 from lrhive.formulas import (
+    _gl3_bounds,
     gl3_coefficient,
     gl3_exceeds,
-    gl3_interval,
     isotypic_count_selfdual_family,
     nr_coefficient,
     nr_support,
     selfdual_component_count,
 )
 from lrhive.hive import count_hives
-from lrhive.partitions import Partition, partitions_of
+from lrhive.partitions import Partition, padded, partitions_of
 from lrhive.piecewise import multiplicity_multiset
 
 
@@ -50,14 +53,14 @@ def test_auto_unbalanced_is_zero(monkeypatch, lam, mu, nu, backend):
     assert lr_coefficient(lam, mu, nu, "hive") == 0
 
 
-def test_gl3_interval_worked_example():
+def test_gl3_worked_example():
     lam, mu = Partition((5, 3, 0)), Partition((6, 3, 0))
-    iv = gl3_interval(lam, mu, Partition((8, 6, 3)))
-    assert iv.cardinality == 3
+    assert _gl3_bounds(5, 3, 6, 3, 8, 6, 3) == (3, 5)
+    assert gl3_coefficient(lam, mu, Partition((8, 6, 3))) == 3
     assert gl3_coefficient(lam, mu, Partition((9, 8, 0))) == 1
     assert gl3_coefficient(lam, mu, Partition((7, 6, 4))) == 2
     assert gl3_coefficient(lam, mu, Partition((11, 3, 3))) == 1
-    assert gl3_interval(lam, mu, Partition((8, 6, 2))).cardinality == 2
+    assert _gl3_bounds(5, 3, 6, 3, 8, 6, 2) == (4, 5)  # two points, yet
     assert gl3_coefficient(lam, mu, Partition((8, 6, 2))) == 0  # |nu| != |lam| + |mu|
 
 
@@ -113,6 +116,60 @@ def test_nr_support_matches_enumeration():
             if c:
                 brute[nu] = c
         assert support == brute
+
+
+def _nr_pairs(n, bound):
+    """Every reduced near-rectangular (lam, mu) at rank n with lam1 - lam2,
+    lam2, mu1 - mu2, mu2 <= bound, in a fixed order."""
+    for a, b, c, d in product(range(bound + 1), repeat=4):
+        yield padded((a + b,), b, (0,), n), padded((c + d,), d, (0,), n)
+
+
+def _box(n, top):
+    """Every rank-n partition with parts <= top, balanced or not."""
+    return [Partition(s + (0,) * (n - len(s)))
+            for t in range(n * top + 1) for s in partitions_of(t, n, top)]
+
+
+def test_nr_support_pin():
+    """The support lists at ranks 4-6 keep their bytes and their order."""
+    digest = hashlib.sha256()
+    for n in (4, 5, 6):
+        for lam, mu in _nr_pairs(n, 4):
+            digest.update(repr(nr_support(lam, mu)).encode())
+    assert digest.hexdigest() == "0f917cb105757ad635191c4651a8a92445da0381aca52b56b11d7b47dc686d1b"
+
+
+def test_closed_form_pin():
+    """gl3_coefficient and nr_coefficient on fixed grids that include
+    unbalanced and non-pinched nu."""
+    values = []
+    for l1, l2, m1, m2 in product(range(4), repeat=4):
+        if l1 >= l2 and m1 >= m2:
+            lam, mu = Partition((l1, l2, 0)), Partition((m1, m2, 0))
+            values += [gl3_coefficient(lam, mu, nu) for nu in _box(3, 6)]
+    for n in (4, 5):
+        nus = _box(n, 5)
+        for lam, mu in _nr_pairs(n, 2):
+            values += [nr_coefficient(lam, mu, nu) for nu in nus]
+    assert (len(values), sum(values)) == (39018, 941)
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "35a2cab062db93e3c352f910ed040a4125bccd5730775288fd989dc8c266db48"
+
+
+def test_nr_support_skips_zero_nu(monkeypatch):
+    """nr_support reads the bounds on ints: it never calls nr_coefficient,
+    and it pads only the nu it returns."""
+    def refuse(*args):
+        raise AssertionError("nr_support called nr_coefficient")
+
+    padded_calls = []
+    monkeypatch.setattr(formulas, "nr_coefficient", refuse)
+    monkeypatch.setattr(formulas, "padded", lambda *args: padded_calls.append(args) or padded(*args))
+    lam, mu = _nr(3, 1, 5), _nr(4, 2, 5)  # 7 of the walk's 20 nu have c = 0
+    support = nr_support(lam, mu)
+    assert len(support) == len(padded_calls) > 0
+    assert all(c > 0 for _, c in support)
 
 
 @given(st.integers(4, 6), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))

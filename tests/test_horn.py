@@ -1,18 +1,21 @@
 """Tests for the rank-4 facet systems and Hilbert generators."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrhive.hive import count_hives
 from lrhive.horn import (
+    _NR2_FACETS,
+    _NR_FACETS,
     NR2_SYSTEM,
     NR_SYSTEM,
     facet_system,
     hilbert_generators,
     horn4_nr2_member,
     horn4_nr_member,
-    weyl_check,
 )
 from lrhive.partitions import Partition, partitions_of
 
@@ -23,6 +26,21 @@ def test_facet_counts():
     assert facet_system("nr2") is NR2_SYSTEM
     with pytest.raises(ValueError):
         facet_system("bogus")
+
+
+def test_facet_names_spell_their_coefficients():
+    """Each facet's name, e.g. "nu1+nu3-lam1-lam2-mu2>=0", lists exactly the
+    +-1 terms of its coefficient tuple over (l1..l4, m1..m4, n1..n4)."""
+    offset = {"lam": 0, "mu": 4, "nu": 8}
+    for name, coeffs in _NR2_FACETS + _NR_FACETS:
+        lhs, sep, rhs = name.partition(">=")
+        assert (sep, rhs) == (">=", "0"), name
+        terms = re.findall(r"([+-]?)(lam|mu|nu)([1-4])", lhs)
+        assert "".join("".join(t) for t in terms) == lhs, name
+        spelled = [0] * 12
+        for sign, var, index in terms:
+            spelled[offset[var] + int(index) - 1] += -1 if sign == "-" else 1
+        assert tuple(spelled) == coeffs, name
 
 
 def test_balance_is_reported_as_minus_one():
@@ -66,12 +84,6 @@ def test_nr_takes_any_bar_reduced_mu():
     assert NR_SYSTEM.violated(lam, mu, Partition((3, 1, 0, 0))) == []
     assert NR_SYSTEM.violated(lam, mu, Partition((2, 2, 0, 0))) == []
     assert NR_SYSTEM.violated(lam, mu, Partition((4, 0, 0, 0))) != []
-
-
-def test_weyl_check():
-    lam = mu = Partition((2, 1, 0))
-    assert weyl_check(lam, mu, Partition((3, 2, 1)))
-    assert not weyl_check(lam, mu, Partition((5, 1, 0)))
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))

@@ -1,7 +1,9 @@
 """Tests for conjecture checks, the counterexample, and sweeps."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -162,6 +164,38 @@ def test_sweep_parallel_matches_serial():
         serial = sweep(SweepConfig(**base))
         parallel = sweep(SweepConfig(**base, jobs=2))
         assert [v.as_json() for v in serial.verdicts] == [v.as_json() for v in parallel.verdicts]
+
+
+def test_sweep_caps_workers(monkeypatch):
+    """A huge --jobs forks no more workers than there are pairs or CPUs, runs
+    serially when that is one, and keeps jobs in the report.  The stand-in
+    pool records max_workers and maps in this process, so nothing forks."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    one_pair = dict(n=4, max_nr=0, max_mu_size=0, check="conj1")
+    report = sweep(SweepConfig(**one_pair, jobs=5000))
+    assert made == [] and json.loads(report.to_json_text())["config"]["jobs"] == 5000
+    grid = dict(n=4, max_nr=1, max_mu_size=2, check="conj1")  # 16 distinct pairs
+    serial = sweep(SweepConfig(**grid)).verdicts
+    for cpus, expected in ((64, [16]), (3, [3]), (None, []), (1, [])):
+        made.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sweep(SweepConfig(**grid, jobs=5000)).verdicts == serial
+        assert made == expected
 
 
 def test_sweep_output_files(tmp_path):
