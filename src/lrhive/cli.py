@@ -250,7 +250,11 @@ def _cmd_sweep(args) -> int:
     try:  # an unreadable --config or an unwritable report path is a usage error
         if args.config:
             with open(args.config) as fh:
-                config = SweepConfig.from_json(json.load(fh))
+                try:
+                    data = json.load(fh)
+                except RecursionError:
+                    raise ValueError(f"config nests too deeply: {args.config}") from None
+            config = SweepConfig.from_json(data)
         else:
             config = SweepConfig(**given)
         report = sweep(config, version=f"{__version__}+t{TABLES_REVISION}")

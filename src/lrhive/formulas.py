@@ -1,8 +1,9 @@
 """Closed-form coefficient formulas.
 
-Covers the rank-3 interval formula, with its 18-inequality threshold test
-and the whole rank-3 decomposition read from it in one pass (the rank-3 case
-of ``product.lr_expansion``), the near-rectangular stability formula for
+Covers the rank-3 interval formula, with the threshold test (each upper
+bound minus each lower bound >= c) and the whole rank-3 decomposition read
+from the same bounds in one pass (the rank-3 case of
+``product.lr_expansion``), the near-rectangular stability formula for
 rank >= 4, and the isotypic / self-dual component counts for the self-dual
 family (2k, k^{n-2}, 0).
 """
@@ -63,42 +64,17 @@ def _gl3_counts(lam: Partition, mu: Partition) -> dict[tuple[int, int, int], int
     return counts
 
 
-def gl3_threshold_forms(lam: Partition, mu: Partition, nu: Partition) -> list[int]:
-    """The 18 linear forms whose simultaneous nonnegativity at offset -c
-    characterizes c_{lam,mu}^nu > c."""
-    l1, l2 = lam[0], lam[1]
-    m1, m2 = mu[0], mu[1]
-    n1, n2, n3 = nu.parts
-    return [
-        l1 - l2,
-        l2,
-        m1 - m2,
-        m2,
-        n1 - n2,
-        n2 - n3,
-        l1 + m1 - n1,
-        l1 + m1 - n2 - n3,
-        l1 + m2 - n2,
-        l1 + l2 + m1 - n1 - n3,
-        l1 - n3,
-        l1 + l2 + m2 - n2 - n3,
-        l2 + m1 - n2,
-        l1 + m1 + m2 - n1 - n3,
-        m1 - n3,
-        l2 + m1 + m2 - n2 - n3,
-        l2 + m2 - n3,
-        l1 + l2 + m1 + m2 - n1 - n2,
-    ]
-
-
 def gl3_exceeds(lam: Partition, mu: Partition, nu: Partition, c: int) -> bool:
-    """True iff c_{lam,mu}^nu > c, decided by the 18 threshold inequalities."""
+    """True iff c_{lam,mu}^nu > c, i.e. hi - lo >= c on the rank-3 interval:
+    the 18 threshold inequalities "each upper bound minus each lower bound
+    >= c", read from the same bounds as ``gl3_coefficient``."""
     _require_reduced_rank3(lam, mu, nu)
     if c < 0:
         raise ValueError("threshold must be nonnegative")
     if nu.size != lam.size + mu.size:
         return False
-    return all(form - c >= 0 for form in gl3_threshold_forms(lam, mu, nu))
+    lo, hi = _gl3_bounds(lam[0], lam[1], mu[0], mu[1], *nu.parts)
+    return hi - lo >= c
 
 
 def _require_nr_pair(lam: Partition, mu: Partition):

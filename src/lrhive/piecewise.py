@@ -2,10 +2,11 @@
 
 Represents functions like "number of nu with c_{lam,mu}^nu > c" as a finite
 set of (cone, quasi-polynomial) pieces over named integer variables, with
-exact rational coefficients.  Includes the hard-coded 7-piece rank-3 table,
-the 36-piece rank-4 near-rectangular table generated from 8 orbit
-representatives, three sample pieces of the rank-4 single-near-rectangular
-function, and the ground-truth enumeration they are validated against.
+exact rational coefficients.  Includes the hard-coded 7-piece rank-3 table
+and the 36-piece rank-4 near-rectangular table, generated from 3 and 8 orbit
+representatives by one structure-checked builder (``_orbit_table``), three
+sample pieces of the rank-4 single-near-rectangular function, and the
+ground-truth enumeration they are validated against.
 """
 
 from __future__ import annotations
@@ -393,12 +394,57 @@ def count_above_enum(lam: Partition, mu: Partition, c: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the rank-3 table (7 pieces)
+# the full tables, built from orbit representatives
 
 GL3_VARIABLES = ("k1", "k2", "l1", "l2", "c")
 
+# k1 <-> k2 (lam -> lam dagger), l1 <-> l2 (mu -> mu dagger), k <-> l (lam <-> mu)
+S1 = {"k1": "k2", "k2": "k1"}
+T = {"l1": "l2", "l2": "l1"}
+S2 = {"k1": "l1", "l1": "k1", "k2": "l2", "l2": "k2"}
 
-def _gl3_polys():
+
+class TranscriptionError(AssertionError):
+    """A hard-coded table failed its structural self-check."""
+
+
+def _lf(**coeffs) -> LinearForm:
+    return LinearForm.make(coeffs)
+
+
+def _orbit_table(representatives, generators, total: int) -> PiecewiseFunction:
+    """The table over (k1, k2, l1, l2, c) whose pieces are the orbits of the
+    (cone, polynomial, expected orbit size) representatives under the order-8
+    group the generators span, listed orbit by orbit.
+
+    Raises TranscriptionError unless the group has order 8, each orbit has
+    its expected size and the orbits give ``total`` distinct pieces.
+    """
+    group = permutation_group(generators, GL3_VARIABLES)
+    if len(group) != 8:
+        raise TranscriptionError(f"symmetry group has order {len(group)}, expected 8")
+    pieces: list[Piece] = []
+    for cone, poly, expected in representatives:
+        orbit = orbit_expand([(cone, QuasiPolynomial.plain(poly))], group)
+        if len(orbit) != expected:
+            raise TranscriptionError(f"orbit size {len(orbit)} != expected {expected}")
+        pieces.extend(orbit)
+    distinct = len({_piece_key(p) for p in pieces})
+    if distinct != total or len(pieces) != total:
+        raise TranscriptionError(f"expected {total} distinct pieces, got {distinct} of {len(pieces)}")
+    # everything >= c >= 0
+    support = Cone.make([_lf(c=1)] + [_lf(**{v: 1, "c": -1}) for v in ("k1", "k2", "l1", "l2")])
+    return PiecewiseFunction(GL3_VARIABLES, support, tuple(pieces))
+
+
+# ---------------------------------------------------------------------------
+# the rank-3 table (7 pieces from 3 representatives)
+
+
+def gl3_count_function() -> PiecewiseFunction:
+    """The 7-piece degree-2 table for #{nu : c_{lam,mu}^nu > c} at rank 3,
+    over fundamental-weight coordinates (k1, k2, l1, l2) and threshold c,
+    generated by orbit expansion."""
     V = GL3_VARIABLES
     k1, k2, l1, l2, c = (Polynomial.var(V, v) for v in V)
     half = Fraction(1, 2)
@@ -412,7 +458,6 @@ def _gl3_polys():
         + 1
     )
     p2 = 3 * c**2 - 3 * c * (k1 + k2 + 1) + half * (k1 + k2) ** 2 + k1 * k2 + Fraction(3, 2) * (k1 + k2) + 1
-    p3 = 3 * c**2 - 3 * c * (l1 + l2 + 1) + half * (l1 + l2) ** 2 + l1 * l2 + Fraction(3, 2) * (l1 + l2) + 1
     p4 = (
         Fraction(5, 2) * c**2
         - c * (2 * k1 + 2 * k2 + l1 + Fraction(5, 2))
@@ -421,64 +466,14 @@ def _gl3_polys():
         - half * l1 * (l1 - 1)
         + 1
     )
-    p5 = (
-        Fraction(5, 2) * c**2
-        - c * (2 * k1 + 2 * k2 + l2 + Fraction(5, 2))
-        + k1 * k2
-        + (k1 + k2) * (l2 + 1)
-        - half * l2 * (l2 - 1)
-        + 1
-    )
-    p6 = (
-        Fraction(5, 2) * c**2
-        - c * (k1 + 2 * l1 + 2 * l2 + Fraction(5, 2))
-        + l1 * l2
-        + (l1 + l2) * (k1 + 1)
-        - half * k1 * (k1 - 1)
-        + 1
-    )
-    p7 = (
-        Fraction(5, 2) * c**2
-        - c * (k2 + 2 * l1 + 2 * l2 + Fraction(5, 2))
-        + l1 * l2
-        + (l1 + l2) * (k2 + 1)
-        - half * k2 * (k2 - 1)
-        + 1
-    )
-    return p1, p2, p3, p4, p5, p6, p7
-
-
-def _lf(**coeffs) -> LinearForm:
-    constant = coeffs.pop("const", 0)
-    return LinearForm.make(coeffs, constant)
-
-
-def _support_cone(names) -> Cone:
-    # everything >= c >= 0
-    forms = [_lf(c=1)] + [_lf(**{v: 1, "c": -1}) for v in names]
-    return Cone.make(forms)
-
-
-def gl3_count_function() -> PiecewiseFunction:
-    """The 7-piece degree-2 table for #{nu : c_{lam,mu}^nu > c} at rank 3,
-    over fundamental-weight coordinates (k1, k2, l1, l2) and threshold c."""
-    p1, p2, p3, p4, p5, p6, p7 = _gl3_polys()
-    cones = [
-        # k1+k2 >= max(l1,l2)+c, l1+l2 >= max(k1,k2)+c
-        Cone.make([_lf(k1=1, k2=1, l1=-1, c=-1), _lf(k1=1, k2=1, l2=-1, c=-1),
-                   _lf(l1=1, l2=1, k1=-1, c=-1), _lf(l1=1, l2=1, k2=-1, c=-1)]),
-        Cone.make([_lf(l1=1, c=1, k1=-1, k2=-1), _lf(l2=1, c=1, k1=-1, k2=-1)]),
-        Cone.make([_lf(k1=1, c=1, l1=-1, l2=-1), _lf(k2=1, c=1, l1=-1, l2=-1)]),
-        Cone.make([_lf(k1=1, k2=1, l1=-1, c=-1), _lf(l2=1, c=1, k1=-1, k2=-1)]),
-        Cone.make([_lf(k1=1, k2=1, l2=-1, c=-1), _lf(l1=1, c=1, k1=-1, k2=-1)]),
-        Cone.make([_lf(l1=1, l2=1, k1=-1, c=-1), _lf(k2=1, c=1, l1=-1, l2=-1)]),
-        Cone.make([_lf(l1=1, l2=1, k2=-1, c=-1), _lf(k1=1, c=1, l1=-1, l2=-1)]),
-    ]
-    pieces = tuple(
-        (cone, QuasiPolynomial.plain(poly))
-        for cone, poly in zip(cones, (p1, p2, p3, p4, p5, p6, p7))
-    )
-    return PiecewiseFunction(GL3_VARIABLES, _support_cone(("k1", "k2", "l1", "l2")), pieces)
+    # k1+k2 >= max(l1,l2)+c, l1+l2 >= max(k1,k2)+c
+    c1 = Cone.make([_lf(k1=1, k2=1, l1=-1, c=-1), _lf(k1=1, k2=1, l2=-1, c=-1),
+                    _lf(l1=1, l2=1, k1=-1, c=-1), _lf(l1=1, l2=1, k2=-1, c=-1)])
+    c2 = Cone.make([_lf(l1=1, c=1, k1=-1, k2=-1), _lf(l2=1, c=1, k1=-1, k2=-1)])
+    c4 = Cone.make([_lf(k1=1, k2=1, l1=-1, c=-1), _lf(l2=1, c=1, k1=-1, k2=-1)])
+    # [T, S2], not [S1, S2]: the orbit order is the piece order that the
+    # dump and the point output's piece index show
+    return _orbit_table([(c1, p1, 1), (c2, p2, 2), (c4, p4, 4)], [T, S2], 7)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +481,8 @@ def gl3_count_function() -> PiecewiseFunction:
 
 GL4NR2_VARIABLES = GL3_VARIABLES
 
-S1 = {"k1": "k2", "k2": "k1"}
-S2 = {"k1": "l1", "l1": "k1", "k2": "l2", "l2": "k2"}
 
-
-def _gl4nr2_representatives() -> list[tuple[Piece, int]]:
+def _gl4nr2_representatives() -> list[tuple[Cone, Polynomial, int]]:
     """The 8 orbit representatives with their expected orbit sizes."""
     V = GL4NR2_VARIABLES
     k1, k2, l1, l2, c = (Polynomial.var(V, v) for v in V)
@@ -516,32 +508,16 @@ def _gl4nr2_representatives() -> list[tuple[Piece, int]]:
     c27 = Cone.make([_lf(l1=1, l2=1, k1=-1, k2=-1), _lf(k1=1, l1=-1), _lf(k1=1, l2=-1)])
     c36 = Cone.make([_lf(k1=1, c=1, l1=-1, l2=-1), _lf(l1=1, k2=-1), _lf(l2=1, k2=-1)])
 
-    reps = [
+    return [
         (c1, p1, 2), (c16, p16, 4), (c2, p2, 2), (c19, p19, 8),
         (c21, p21, 8), (c29, p29, 4), (c27, p27, 4), (c36, p36, 4),
     ]
-    return [((cone, QuasiPolynomial.plain(poly)), size) for cone, poly, size in reps]
-
-
-class TranscriptionError(AssertionError):
-    """A hard-coded table failed its structural self-check."""
 
 
 def gl4nr2_count_function() -> PiecewiseFunction:
     """The 36-piece degree-3 table for #{nu : c_{lam,mu}^nu > c} at rank 4
     with both factors near-rectangular, generated by orbit expansion."""
-    group = permutation_group([S1, S2], GL4NR2_VARIABLES)
-    if len(group) != 8:
-        raise TranscriptionError(f"symmetry group has order {len(group)}, expected 8")
-    pieces: list[Piece] = []
-    for rep, expected in _gl4nr2_representatives():
-        orbit = orbit_expand([rep], group)
-        if len(orbit) != expected:
-            raise TranscriptionError(f"orbit size {len(orbit)} != expected {expected}")
-        pieces.extend(orbit)
-    if len({_piece_key(p) for p in pieces}) != 36 or len(pieces) != 36:
-        raise TranscriptionError(f"expected 36 distinct pieces, got {len(pieces)}")
-    f = PiecewiseFunction(GL4NR2_VARIABLES, _support_cone(("k1", "k2", "l1", "l2")), tuple(pieces))
+    f = _orbit_table(_gl4nr2_representatives(), [S1, S2], 36)
     fixed = len(s1_fixed_pieces(f))
     if fixed != 12:
         raise TranscriptionError(f"expected 12 s1-fixed pieces, got {fixed}")

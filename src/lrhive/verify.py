@@ -188,7 +188,7 @@ class SweepConfig:
             raise ValueError("rank must be >= 2")
         if self.max_nr < 0 or self.max_mu_size < 0:
             raise ValueError("bounds must be nonnegative")
-        if self.check not in _CHECKS:
+        if type(self.check) is not str or self.check not in _CHECKS:
             raise ValueError(f"unknown check {self.check!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")

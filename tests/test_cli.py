@@ -268,6 +268,10 @@ def test_compare_output_exact(capsys, argv, expected):
     ["sweep", "--config", "{scalar_cases}"],
     ["sweep", "--config", "{scalar_fail}"],
     ["sweep", "--config", "{list_output}"],
+    # a check that is not a string, and a config nested past the recursion limit
+    ["sweep", "--config", "{list_check}"],
+    ["sweep", "--config", "{dict_check}"],
+    ["sweep", "--config", "{deep}"],
     # a csv report needs a file to go to, and an expected failure must be a partition
     ["sweep", "--config", "{csv_no_output}"],
     ["sweep", "--config", "{unsorted_fail}"],
@@ -297,10 +301,12 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
              "list_output": {**cfg, "output_path": ["out.json"]},
              "csv_no_output": {**cfg, "output_format": "csv"},
              "unsorted_fail": {**cfg, "expected_fail_lambdas": [[1, 2, 3, 4, 5]]},
-             "negative_fail": {**cfg, "expected_fail_lambdas": [[2, 1, 0, -1]]}}
-    paths = {name: tmp_path / f"{name}.json" for name in [*files, "absent"]}
+             "negative_fail": {**cfg, "expected_fail_lambdas": [[2, 1, 0, -1]]},
+             "list_check": {**cfg, "check": []}, "dict_check": {**cfg, "check": {}}}
+    paths = {name: tmp_path / f"{name}.json" for name in [*files, "absent", "deep"]}
     for name, content in files.items():
         paths[name].write_text(json.dumps(content))
+    paths["deep"].write_text("[" * 100_000 + "]" * 100_000)  # json.dumps cannot build it
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -410,8 +416,9 @@ def _argv(draw):
 
 
 # Sweep config files: any JSON value; objects whose known keys all hold random
-# JSON values; and objects with well-formed required keys whose optional keys
-# hold random JSON values or well-formed ones.  Numbers stay small so that a
+# JSON values; objects with well-formed required keys whose optional keys
+# hold random JSON values or well-formed ones; and objects with well-formed
+# required keys but a random JSON check.  Numbers stay small so that a
 # config which passes every check runs a tiny sweep, and jobs stays <= 1 (no
 # process pool).  A string may name the report file, which then lands in the
 # temporary directory.
@@ -439,6 +446,7 @@ _CONFIG = st.one_of(
     _JSON_VALUE,
     st.fixed_dictionaries({}, optional=dict.fromkeys([*_REQUIRED, *_OPTIONAL], _JSON_VALUE)),
     st.fixed_dictionaries(_REQUIRED, optional=_OPTIONAL),
+    st.fixed_dictionaries({**_REQUIRED, "check": _JSON_VALUE}),
 )
 
 

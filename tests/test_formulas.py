@@ -157,6 +157,19 @@ def test_closed_form_pin():
     assert digest == "35a2cab062db93e3c352f910ed040a4125bccd5730775288fd989dc8c266db48"
 
 
+def test_gl3_exceeds_pin():
+    """gl3_exceeds on a fixed grid that includes unbalanced nu and thresholds
+    above every coefficient on it (the largest is 2)."""
+    values = []
+    for l1, l2, m1, m2 in product(range(4), repeat=4):
+        if l1 >= l2 and m1 >= m2:
+            lam, mu = Partition((l1, l2, 0)), Partition((m1, m2, 0))
+            values += [gl3_exceeds(lam, mu, nu, c) for nu in _box(3, 6) for c in range(5)]
+    assert (len(values), sum(values)) == (42000, 341)
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == "6aa98f9d7b24da5232fb805016ff1413f8208456f7719e6d6badd204d163707f"
+
+
 def test_nr_support_skips_zero_nu(monkeypatch):
     """nr_support reads the bounds on ints: it never calls nr_coefficient,
     and it pads only the nu it returns."""

@@ -14,12 +14,16 @@ from lrhive.partitions import Partition
 from lrhive.piecewise import (
     GL4NR_VARIABLES,
     S1,
+    S2,
+    T,
     Cone,
     LinearForm,
     PieceAgreementError,
     PiecewiseFunction,
     Polynomial,
     QuasiPolynomial,
+    TranscriptionError,
+    _orbit_table,
     binom3,
     count_above_enum,
     enum_value,
@@ -122,6 +126,41 @@ def test_gl3_known_points():
     assert f.evaluate(point_of(f.variables, (0, 0, 5, 3, 0)))[0] == 1
     # outside support: threshold above every coefficient
     assert f.evaluate(point_of(f.variables, (1, 1, 1, 1, 2))) == (0, None)
+
+
+def _gl3_representatives():
+    """The gl3 table's three orbit representatives, read back from the built
+    table (pieces 0, 1 and 3 start its three orbits)."""
+    f = gl3_count_function()
+    return [(f.pieces[i][0], f.pieces[i][1].branches[0], size) for i, size in ((0, 1), (1, 2), (3, 4))]
+
+
+def test_orbit_table_rebuilds_gl3():
+    assert _orbit_table(_gl3_representatives(), [T, S2], 7) == gl3_count_function()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("orbit_size", "orbit size 2 != expected 1"),
+    ("total", "expected 8 distinct pieces, got 7 of 7"),
+    ("repeated", "expected 8 distinct pieces, got 4 of 8"),
+    ("order_2", "symmetry group has order 2"),
+    ("order_24", "symmetry group has order 24"),
+])
+def test_orbit_table_transcription_errors(case, message):
+    reps = _gl3_representatives()
+    generators, total = [T, S2], 7
+    if case == "orbit_size":
+        reps[1] = reps[1][:2] + (1,)
+    elif case == "total":
+        total = 8
+    elif case == "repeated":
+        reps, total = [reps[2], reps[2]], 8
+    elif case == "order_2":
+        generators = [T]
+    else:  # S1, T and k1 <-> l1 span all 24 permutations of k1, k2, l1, l2
+        generators = [S1, T, {"k1": "l1", "l1": "k1"}]
+    with pytest.raises(TranscriptionError, match=message):
+        _orbit_table(reps, generators, total)
 
 
 def test_gl4nr2_table_structure():
