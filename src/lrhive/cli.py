@@ -2,13 +2,15 @@
 
 Exit status: 0 on success, 1 when a verification verdict FAILs (or a
 piecewise verify scan finds a mismatch), 2 on usage errors, 3 when the
-program itself fails (one ``internal error:`` line, no traceback).
+program itself fails (one ``internal error:`` line, no traceback), and 141
+(128 + SIGPIPE) with nothing printed when the reader of stdout is gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -62,43 +64,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lr", help="one coefficient c_{lambda,mu}^nu")
+    p.set_defaults(run=_cmd_lr)
     _add_triple(p)
     p.add_argument("--method", choices=METHODS, default="auto")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("multiset", help="histogram of positive coefficients over nu")
+    p.set_defaults(run=_cmd_multiset)
     _add_triple(p, nu_required=False)
-    p.add_argument("--json", action="store_true")
 
     for name in ("conj1", "conj2", "czsum"):
         p = sub.add_parser(name, help=f"run the {name} comparison on one (lambda, mu)")
+        p.set_defaults(run=_cmd_compare)
         _add_triple(p, nu_required=False)
-        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("stability", help="rank independence for near-rectangular factors")
+    p.set_defaults(run=_cmd_stability)
     p.add_argument("--lam1", type=int, required=True)
     p.add_argument("--lam2", type=int, required=True)
     p.add_argument("--mu1", type=int, required=True)
     p.add_argument("--mu2", type=int, required=True)
     p.add_argument("--nu", required=True, metavar="N1,N2,N3,N4", help="the four free parts of nu")
     p.add_argument("--ranks", default="4,5,6", metavar="N,N,...")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("horn", help="facet-system membership at rank 4")
+    p.set_defaults(run=_cmd_horn)
     _add_triple(p, required=False)  # the triple is required unless --generators
     p.add_argument("--family", choices=("nr", "nr2"), required=True)
     p.add_argument("--generators", action="store_true", help="list the Hilbert generators instead")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("piecewise", help="evaluate or verify a counting-function table")
+    p.set_defaults(run=_cmd_piecewise)
     p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--point", metavar="X,X,...", help="integer point, one coordinate per table variable")
     p.add_argument("--verify-range", type=int, metavar="B",
                    help="scan all points with coordinates in [0, B] against enumeration")
     p.add_argument("--dump", action="store_true", help="print the table as JSON")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sweep", help="batch conjecture checks over a (lambda, mu) grid")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--config", metavar="FILE.json")
     p.add_argument("--n", type=int)
     p.add_argument("--max-nr", type=int, help="bound on max(lambda1-lambda2, lambda2)")
@@ -107,11 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int)
     p.add_argument("--output", metavar="FILE")
     p.add_argument("--format", choices=("json", "csv"))
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("repro-gl5", help="reproduce the rank-5 component-count counterexample")
-    p.add_argument("--json", action="store_true")
+    p.set_defaults(run=lambda a: _emit_verdict(reproduce_gl5_counterexample(), a.json))
 
+    for p in sub.choices.values():  # last, as every subcommand lists it
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -272,20 +276,17 @@ def _cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "lr": _cmd_lr,
-        "multiset": _cmd_multiset,
-        "conj1": _cmd_compare,
-        "conj2": _cmd_compare,
-        "czsum": _cmd_compare,
-        "stability": _cmd_stability,
-        "horn": _cmd_horn,
-        "piecewise": _cmd_piecewise,
-        "sweep": _cmd_sweep,
-        "repro-gl5": lambda a: _emit_verdict(reproduce_gl5_counterexample(), a.json),
-    }
     try:
-        return handlers[args.command](args)
+        code = args.run(args)
+        sys.stdout.flush()  # here, so a closed stdout raises inside the try
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null device,
+        # so the interpreter's last flush is silent, and exit as `cat` would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

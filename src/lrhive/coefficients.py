@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .formulas import gl3_coefficient, nr_coefficient
 from .hive import count_hives
-from .partitions import Partition, bar_reduce, is_near_rectangular
+from .partitions import Partition, bar_reduce, common_rank, is_near_rectangular
 from .tableaux import lr_tableaux_count
 
 METHODS = ("auto", "hive", "tableaux", "gl3", "nr")
@@ -18,8 +18,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition, method: str = "
     fastest applicable closed form, falling back to hive enumeration.  Every
     backend returns 0 on an unbalanced triple (|nu| != |lam| + |mu|).
     """
-    if not (lam.n == mu.n == nu.n):
-        raise ValueError("rank mismatch")
+    common_rank(lam, mu, nu)
     if method == "hive":
         return count_hives(lam, mu, nu)
     if method == "tableaux":

@@ -10,7 +10,7 @@ family (2k, k^{n-2}, 0).
 
 from __future__ import annotations
 
-from .partitions import Partition, is_near_rectangular, padded
+from .partitions import Partition, common_rank, is_near_rectangular, padded
 
 
 def _require_reduced_rank3(lam: Partition, mu: Partition, nu: Partition):
@@ -65,22 +65,17 @@ def _gl3_counts(lam: Partition, mu: Partition) -> dict[tuple[int, int, int], int
 
 
 def gl3_exceeds(lam: Partition, mu: Partition, nu: Partition, c: int) -> bool:
-    """True iff c_{lam,mu}^nu > c, i.e. hi - lo >= c on the rank-3 interval:
-    the 18 threshold inequalities "each upper bound minus each lower bound
-    >= c", read from the same bounds as ``gl3_coefficient``."""
+    """True iff c_{lam,mu}^nu > c: for c >= 0 that is hi - lo >= c on the
+    rank-3 interval, the 18 threshold inequalities "each upper bound minus
+    each lower bound >= c"."""
     _require_reduced_rank3(lam, mu, nu)
     if c < 0:
         raise ValueError("threshold must be nonnegative")
-    if nu.size != lam.size + mu.size:
-        return False
-    lo, hi = _gl3_bounds(lam[0], lam[1], mu[0], mu[1], *nu.parts)
-    return hi - lo >= c
+    return gl3_coefficient(lam, mu, nu) > c
 
 
 def _require_nr_pair(lam: Partition, mu: Partition):
-    n = lam.n
-    if mu.n != n:
-        raise ValueError("rank mismatch")
+    n = common_rank(lam, mu)
     if n < 4:
         raise ValueError("rank must be >= 4")
     if not (is_near_rectangular(lam) and is_near_rectangular(mu)):
@@ -107,9 +102,7 @@ def nr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     nu2 >= lam2+mu2 >= nu_{n-1}, else an interval cardinality.
     """
     _require_nr_pair(lam, mu)
-    n = lam.n
-    if nu.n != n:
-        raise ValueError("rank mismatch")
+    n = common_rank(lam, nu)
     if nu.size != lam.size + mu.size:
         return 0
     mid = lam[1] + mu[1]

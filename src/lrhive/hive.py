@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import Partition, is_near_rectangular, padded
+from .partitions import Partition, common_rank, is_near_rectangular, padded
 
 Vertex = tuple[int, int]
 
@@ -41,7 +41,7 @@ def rhombus_constraints(n: int) -> list[tuple[Vertex, Vertex, Vertex, Vertex]]:
 
 def hive_boundary(lam: Partition, mu: Partition, nu: Partition) -> list[list[int | None]]:
     """Boundary skeleton: rows apex-first, interior vertices set to None."""
-    n = _common_rank(lam, mu, nu)
+    n = common_rank(lam, mu, nu)
     if nu.size != lam.size + mu.size:
         raise ValueError(f"unbalanced triple: |nu|={nu.size} != |lam|+|mu|={lam.size + mu.size}")
     rows: list[list[int | None]] = [[None] * (i + 1) for i in range(n + 1)]
@@ -78,14 +78,6 @@ class Hive:
         nu = tuple(self.rows[i][i] - self.rows[i - 1][i - 1] for i in range(1, n + 1))
         mu = tuple(self.rows[n][j] - self.rows[n][j - 1] for j in range(1, n + 1))
         return Partition(lam), Partition(mu), Partition(nu)
-
-
-def _common_rank(*parts: Partition) -> int:
-    n = parts[0].n
-    for p in parts[1:]:
-        if p.n != n:
-            raise ValueError("rank mismatch")
-    return n
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +130,7 @@ def _search(lam: Partition, mu: Partition, nu: Partition):
     is the flat list of labels by vertex number, reused between yields.
     With no interior vertex, the apex (label 0) stands in for v.
     """
-    n = _common_rank(lam, mu, nu)
+    n = common_rank(lam, mu, nu)
     if nu.size != lam.size + mu.size:
         return
     label = [x for row in hive_boundary(lam, mu, nu) for x in row]

@@ -66,6 +66,16 @@ class Partition:
         return cls(tuple(parts))
 
 
+def common_rank(*parts: Partition) -> int:
+    """The one rank n that every given partition has, or ValueError.  It
+    runs once per coefficient, so it reads the parts directly."""
+    n = len(parts[0].parts)
+    for p in parts:
+        if len(p.parts) != n:
+            raise ValueError("rank mismatch")
+    return n
+
+
 def dual_star(lam: Partition) -> Partition:
     """The dual partition (lam1 - lam_n, ..., lam1 - lam_2, 0).
 
@@ -132,9 +142,7 @@ def enumerate_nu_candidates(lam: Partition, mu: Partition) -> list[Partition]:
     contains every nu with a positive Littlewood-Richardson coefficient.
     Ordered lexicographically decreasing, duplicate-free.
     """
-    if lam.n != mu.n:
-        raise ValueError("rank mismatch")
-    n = lam.n
+    n = common_rank(lam, mu)
     total = lam.size + mu.size
     out = []
     for shape in partitions_of(total, n, lam[0] + mu[0]):

@@ -258,6 +258,12 @@ class PiecewiseFunction:
     support: Cone
     pieces: tuple[Piece, ...]
 
+    def _containing(self, point: Mapping[str, int]) -> list[tuple[int, Polynomial]]:
+        """(index, branch polynomial at ``point``) of every piece whose cone
+        contains ``point``."""
+        return [(i, q.branch(point)) for i, (cone, q) in enumerate(self.pieces)
+                if cone.contains(point)]
+
     def evaluate(self, point: Mapping[str, int]) -> tuple[int, int | None]:
         """Value and lowest containing piece index; (0, None) outside support.
 
@@ -265,8 +271,7 @@ class PiecewiseFunction:
         """
         if not self.support.contains(point):
             return 0, None
-        hits = [(i, q.branch(point)) for i, (cone, q) in enumerate(self.pieces)
-                if cone.contains(point)]
+        hits = self._containing(point)
         if not hits:
             raise PieceAgreementError(f"no piece covers in-support point {dict(point)}")
         # (quotient, remainder) pairs: one pair with remainder 0 means every
@@ -287,13 +292,11 @@ class PiecewiseFunction:
         """(index, value) of every piece whose cone contains ``point``, each
         evaluated on its own: no support test and no agreement check."""
         out = []
-        for i, (cone, q) in enumerate(self.pieces):
-            if cone.contains(point):
-                p = q.branch(point)
-                value, rem = divmod(p.numerator_at(point), p.denominator)
-                if rem:
-                    raise PieceAgreementError(f"non-integral value {p(point)} at {dict(point)}")
-                out.append((i, value))
+        for i, p in self._containing(point):
+            value, rem = divmod(p.numerator_at(point), p.denominator)
+            if rem:
+                raise PieceAgreementError(f"non-integral value {p(point)} at {dict(point)}")
+            out.append((i, value))
         return out
 
 

@@ -16,7 +16,7 @@ and lam_n > 0 or mu_n > 0 needs no bar reduction.
 from __future__ import annotations
 
 from .formulas import _gl3_counts
-from .partitions import Partition
+from .partitions import Partition, common_rank
 
 
 def _fill_plan(mu: tuple[int, ...]):
@@ -49,9 +49,7 @@ def lr_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
 def _lr_counts(lam: Partition, mu: Partition) -> dict[tuple[int, ...], int]:
     """``lr_expansion`` keyed by the parts of nu, for callers that read only
     the coefficients: the closed form at rank 3, the tableau search otherwise."""
-    if lam.n != mu.n:
-        raise ValueError("rank mismatch")
-    return _gl3_counts(lam, mu) if lam.n == 3 else _tableau_counts(lam, mu)
+    return _gl3_counts(lam, mu) if common_rank(lam, mu) == 3 else _tableau_counts(lam, mu)
 
 
 def _tableau_counts(lam: Partition, mu: Partition) -> dict[tuple[int, ...], int]:

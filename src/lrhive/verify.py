@@ -20,7 +20,8 @@ from operator import attrgetter
 
 from .formulas import nr_coefficient
 from .hive import count_hives
-from .partitions import Partition, bar_reduce, dual_star, is_near_rectangular, padded, partitions_of
+from .partitions import (Partition, bar_reduce, common_rank, dual_star, is_near_rectangular,
+                         padded, partitions_of)
 from .piecewise import multiplicity_multiset
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
@@ -83,8 +84,7 @@ def compare(check: str, lam: Partition, mu: Partition, *,
     conj1 and conj2 SKIP a lam that is not near-rectangular if required.
     ``histogram(lam, mu)`` gives each multiplicity multiset (default: computed).
     """
-    if lam.n != mu.n:
-        raise ValueError("rank mismatch")
+    common_rank(lam, mu)
     project, witness = _CHECKS[check]
     if require_near_rectangular and check != "cz_sum" and not is_near_rectangular(lam):
         return Verdict(SKIP, check, lam, mu, witness="lambda is not near-rectangular")
@@ -211,16 +211,11 @@ class SweepConfig:
                 raise ValueError(f"expected_fail_lambdas: {exc}") from None
 
     def as_json(self) -> dict:
-        return {
-            "n": self.n,
-            "max_nr": self.max_nr,
-            "max_mu_size": self.max_mu_size,
-            "check": self.check,
-            "jobs": self.jobs,
-            "output_format": self.output_format,
-            "extra_cases": [[list(l), list(m)] for l, m in self.extra_cases],
-            "expected_fail_lambdas": [list(l) for l in self.expected_fail_lambdas],
-        }
+        """Every field but output_path, with the tuple fields as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_path"}
+        out["extra_cases"] = [[list(l), list(m)] for l, m in self.extra_cases]
+        out["expected_fail_lambdas"] = [list(l) for l in self.expected_fail_lambdas]
+        return out
 
     @classmethod
     def from_json(cls, d: dict) -> "SweepConfig":

@@ -321,6 +321,28 @@ def test_cli_import_leaves_process_pool_out():
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["multiset", "--lambda", "5,3", "--mu", "6,3", "--n", "3"],  # a few bytes
+    ["piecewise", "--family", "gl4nr2", "--dump"],  # more than a pipe holds
+])
+def test_closed_stdout_exits_141(argv, unbuffered):
+    """A reader gone before the first write ends the command with 128 + SIGPIPE
+    and nothing on stderr, the status a shell reports for `cat` in that case."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(lrhive.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "lrhive.cli", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
 def test_internal_error_exit_3(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom")
@@ -358,6 +380,33 @@ def test_usage_errors(capsys):
     # domain errors surface as exit 2 without a traceback
     code = main(["lr", "--lambda", "1,2", "--mu", "1", "--nu", "2,1", "--n", "2"])
     assert code == 2
+
+
+# `lrhive --help`, every `lrhive <cmd> --help`, and usage errors argparse reports
+HELP_ARGVS = (
+    ["--help"],
+    *([cmd, "--help"] for cmd in ("lr", "multiset", "conj1", "conj2", "czsum", "stability",
+                                  "horn", "piecewise", "sweep", "repro-gl5")),
+    [], ["bogus"], ["lr", "--lambda", "5,3", "--mu", "6,3", "--n", "3"],
+    ["multiset", "--lambda", "1", "--mu", "1", "--n", "2", "--jsn"],
+    ["sweep", "--check", "conj3"], ["piecewise", "--family", "gl5", "--dump"],
+)
+# sha256 of each argv's stdout then its exit status, all of stderr last,
+# at 80 columns; argparse lays help out differently in other Python versions
+HELP_SHA256 = "ced75664310c07df021f88275007b579452abf6a277f913cb6b44d287d0d1a12"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout pinned under Python 3.11")
+def test_help_and_usage_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in HELP_ARGVS:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        print(code)
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == HELP_SHA256
 
 
 def test_version(capsys):

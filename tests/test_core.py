@@ -1,9 +1,12 @@
 """Tests for the partition primitives."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrhive import coefficients, formulas, hive, piecewise, product, verify
 from lrhive.partitions import (
     Partition,
     bar_reduce,
@@ -116,3 +119,31 @@ def test_enumerate_nu_candidates():
     cands = enumerate_nu_candidates(Partition((5, 3, 0)), Partition((6, 3, 0)))
     assert all(nu.size == 17 and nu[0] <= 11 for nu in cands)
     assert len(set(cands)) == len(cands)
+
+
+R4, R5 = Partition((2, 1, 1, 0)), Partition((2, 1, 1, 1, 0))
+# each entry point that takes partitions of one shared rank, by its arity
+RANK_CHECKED = {
+    "lr_coefficient": (coefficients.lr_coefficient, 3),
+    "count_hives": (hive.count_hives, 3),
+    "enumerate_hives": (hive.enumerate_hives, 3),
+    "hive_boundary": (hive.hive_boundary, 3),
+    "lr_expansion": (product.lr_expansion, 2),
+    "multiplicity_multiset": (piecewise.multiplicity_multiset, 2),
+    "enumerate_nu_candidates": (enumerate_nu_candidates, 2),
+    "compare": (partial(verify.compare, "conj1"), 2),
+    "nr_coefficient": (formulas.nr_coefficient, 3),
+    "nr_support": (formulas.nr_support, 2),
+}
+
+
+@pytest.mark.parametrize("name", RANK_CHECKED)
+def test_rank_mismatch_message(name):
+    """A rank-4/rank-5 mix, the odd one in any position, raises exactly
+    ValueError("rank mismatch") before any other check."""
+    func, arity = RANK_CHECKED[name]
+    for odd in range(arity):
+        args = [R5 if i == odd else R4 for i in range(arity)]
+        with pytest.raises(ValueError) as exc:
+            func(*args)
+        assert str(exc.value) == "rank mismatch", (name, odd)
