@@ -6,7 +6,9 @@ exact rational coefficients.  Includes the hard-coded 7-piece rank-3 table
 and the 36-piece rank-4 near-rectangular table, generated from 3 and 8 orbit
 representatives by one structure-checked builder (``_orbit_table``), three
 sample pieces of the rank-4 single-near-rectangular function, and the
-ground-truth enumeration they are validated against.
+ground-truth enumeration they are validated against.  A table is evaluated
+through a compiled form of itself, built on first use: variables become
+tuple positions, and each point gets one table of powers.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Mapping
-
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
+from math import gcd, lcm
+from operator import itemgetter
+from typing import Iterable, Mapping
 
 from .coefficients import lr_coefficient
 from .partitions import Partition, enumerate_nu_candidates, padded
@@ -80,14 +82,7 @@ class Cone:
         return cls(frozenset(c.normalized() for c in constraints))
 
     def contains(self, point: Mapping[str, int]) -> bool:
-        # LinearForm.value_at inlined: containment is evaluate's hottest loop.
-        for form in self.constraints:
-            total = form.constant
-            for v, c in form.coeffs:
-                total += c * point[v]
-            if total < 0:
-                return False
-        return True
+        return all(form.value_at(point) >= 0 for form in self.constraints)
 
     def permuted(self, perm: Mapping[str, str]) -> "Cone":
         return Cone.make(c.permuted(perm) for c in self.constraints)
@@ -252,39 +247,141 @@ class PieceAgreementError(AssertionError):
     """Two overlapping pieces disagreed at an integer point: transcription bug."""
 
 
+# The compiled forms, over coordinate tuples in a table's variable order: a
+# linear form is (constant, ((variable index, coefficient), ...)), and a
+# polynomial is (denominator, ((numerator, ((variable index, exponent), ...)),
+# ...)), with zero exponents left out.
+IndexedForm = tuple[int, tuple[tuple[int, int], ...]]
+IndexedPolynomial = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
+
+
+def _inside(cone: tuple[IndexedForm, ...], coords: tuple[int, ...]) -> bool:
+    for total, terms in cone:
+        for j, c in terms:
+            total += c * coords[j]
+        if total < 0:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PiecewiseFunction:
+    """Raises ValueError on repeated variables, on a form that names a
+    variable not in ``variables``, and on a branch over other variables."""
+
     variables: tuple[str, ...]
     support: Cone
     pieces: tuple[Piece, ...]
 
-    def _containing(self, point: Mapping[str, int]) -> list[tuple[int, Polynomial]]:
-        """(index, branch polynomial at ``point``) of every piece whose cone
-        contains ``point``."""
-        return [(i, q.branch(point)) for i, (cone, q) in enumerate(self.pieces)
-                if cone.contains(point)]
+    def __post_init__(self):
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError(f"repeated variable in {list(self.variables)}")
+        forms = [*self.support.constraints,
+                 *(form for cone, q in self.pieces for form in (*cone.constraints, q.selector))]
+        for form in forms:
+            for v, _ in form.coeffs:
+                if v not in self.variables:
+                    raise ValueError(f"a form names {v!r}, which is not one of {list(self.variables)}")
+        for _, q in self.pieces:
+            for branch in q.branches:
+                if branch.variables != self.variables:
+                    raise ValueError(f"a branch over {list(branch.variables)} in a table over "
+                                     f"{list(self.variables)}")
+
+    def __getstate__(self):
+        """Pickle the table without its compiled form, which the copy
+        rebuilds on first use."""
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
+    @cached_property
+    def _compiled(self):
+        """(coordinates, support, pieces, degree), built on the first
+        evaluation, so a table never evaluated costs nothing.
+
+        ``coordinates`` reads a point as a tuple in the order of
+        ``variables``; the support, and each piece as (cone, modulus,
+        selector, branches), refer to variables by position in that tuple;
+        ``degree`` is the highest exponent.
+        """
+        index = {v: i for i, v in enumerate(self.variables)}
+        if len(self.variables) > 1:
+            coordinates = itemgetter(*self.variables)
+        else:  # itemgetter of one name returns its bare value, not a 1-tuple
+
+            def coordinates(point: Mapping[str, int]) -> tuple[int, ...]:
+                return tuple(point[v] for v in self.variables)
+
+        # pieces share forms and exponent tuples: compile each one once
+        @lru_cache(maxsize=None)
+        def form(lf: LinearForm) -> IndexedForm:
+            return lf.constant, tuple((index[v], c) for v, c in lf.coeffs)
+
+        @lru_cache(maxsize=None)
+        def factors(e: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+            return tuple((j, k) for j, k in enumerate(e) if k)
+
+        def poly(p: Polynomial) -> IndexedPolynomial:
+            return p.denominator, tuple((c, factors(e)) for e, c in p.numerators)
+
+        pieces = tuple((tuple(map(form, cone.constraints)), q.modulus, form(q.selector),
+                        tuple(map(poly, q.branches))) for cone, q in self.pieces)
+        degree = max((k for _, q in self.pieces for b in q.branches for e, _ in b.numerators
+                      for k in e), default=0)
+        return coordinates, tuple(map(form, self.support.constraints)), pieces, degree
+
+    def _containing(self, coords: tuple[int, ...]) -> list[tuple[int, int, int]]:
+        """(index, numerator, denominator) of every piece whose cone contains
+        ``coords``; the piece's value there is numerator / denominator."""
+        _, _, pieces, degree = self._compiled
+        powers = None
+        hits = []
+        for i, (cone, modulus, selector, branches) in enumerate(pieces):
+            if not _inside(cone, coords):
+                continue
+            if powers is None:  # v**0 .. v**degree of each coordinate
+                powers = []
+                for v in coords:
+                    row = [1]
+                    for _ in range(degree):
+                        row.append(row[-1] * v)
+                    powers.append(row)
+            total, terms = selector  # any selector value is 0 mod 1
+            for j, c in terms:
+                total += c * coords[j]
+            den, monomials = branches[total % modulus]
+            total = 0
+            for num, factors in monomials:
+                for j, k in factors:
+                    num *= powers[j][k]
+                total += num
+            hits.append((i, total, den))
+        return hits
 
     def evaluate(self, point: Mapping[str, int]) -> tuple[int, int | None]:
         """Value and lowest containing piece index; (0, None) outside support.
 
         Every containing piece is evaluated and agreement is asserted, always.
         """
-        if not self.support.contains(point):
+        coordinates, support, _, _ = self._compiled
+        coords = coordinates(point)
+        if not _inside(support, coords):
             return 0, None
-        hits = self._containing(point)
+        hits = self._containing(coords)
         if not hits:
             raise PieceAgreementError(f"no piece covers in-support point {dict(point)}")
         # (quotient, remainder) pairs: one pair with remainder 0 means every
         # piece gave the same integer
-        values = {divmod(p.numerator_at(point), p.denominator) for _, p in hits}
+        values = {divmod(num, den) for _, num, den in hits}
         if len(values) == 1:
             (value, rem), = values
             if not rem:
                 return value, hits[0][0]
-        exact = {p(point) for _, p in hits}
+        exact = {Fraction(num, den) for _, num, den in hits}
         if len(exact) != 1:
             raise PieceAgreementError(
-                f"pieces {[i for i, _ in hits]} disagree at {dict(point)}: {sorted(exact)}"
+                f"pieces {[i for i, _, _ in hits]} disagree at {dict(point)}: {sorted(exact)}"
             )
         raise PieceAgreementError(f"non-integral value {exact.pop()} at {dict(point)}")
 
@@ -292,10 +389,11 @@ class PiecewiseFunction:
         """(index, value) of every piece whose cone contains ``point``, each
         evaluated on its own: no support test and no agreement check."""
         out = []
-        for i, p in self._containing(point):
-            value, rem = divmod(p.numerator_at(point), p.denominator)
+        coordinates = self._compiled[0]
+        for i, num, den in self._containing(coordinates(point)):
+            value, rem = divmod(num, den)
             if rem:
-                raise PieceAgreementError(f"non-integral value {p(point)} at {dict(point)}")
+                raise PieceAgreementError(f"non-integral value {Fraction(num, den)} at {dict(point)}")
             out.append((i, value))
         return out
 
@@ -691,11 +789,18 @@ def _poly_to_json(p: Polynomial) -> dict:
     }
 
 
+def _exponents_from_json(e, n: int) -> tuple[int, ...]:
+    if type(e) is not list or len(e) != n or any(type(k) is not int or k < 0 for k in e):
+        raise ValueError(f"exponents {e!r} are not {n} nonnegative integers")
+    return tuple(e)
+
+
 def _poly_from_json(d: dict, variables) -> Polynomial:
     return Polynomial.make(
         variables,
         {
-            tuple(m["exponents"]): Fraction(m["numerator"], m["denominator"])
+            _exponents_from_json(m["exponents"], len(variables)):
+                Fraction(m["numerator"], m["denominator"])
             for m in d["monomials"]
         },
     )

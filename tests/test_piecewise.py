@@ -1,6 +1,7 @@
 """Tests for the piecewise (quasi-)polynomial machinery and tables."""
 
 import hashlib
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -174,14 +175,30 @@ def test_gl4nr2_known_point():
     assert f.evaluate(point_of(f.variables, (2, 2, 1, 1, 0)))[0] == 8
 
 
+def _with_disagreeing_piece(f):
+    """``f`` plus a constant-999 copy of its first piece's cone."""
+    broken_piece = (f.pieces[0][0], QuasiPolynomial.plain(
+        Polynomial.const(f.variables, 999)))
+    return type(f)(f.variables, f.support, f.pieces + (broken_piece,))
+
+
 def test_overlapping_pieces_must_agree():
     """evaluate() cross-checks every containing cone; a corrupted table raises."""
     f = gl3_count_function()
-    broken_piece = (f.pieces[0][0], QuasiPolynomial.plain(
-        Polynomial.const(f.variables, 999)))
-    broken = type(f)(f.variables, f.support, f.pieces + (broken_piece,))
+    broken = _with_disagreeing_piece(f)
     with pytest.raises(PieceAgreementError):
         broken.evaluate(point_of(f.variables, (2, 2, 2, 2, 0)))
+
+
+def test_verify_family_checks_agreement(monkeypatch):
+    """verify_family reads every point through evaluate, which still checks
+    that overlapping pieces agree."""
+    broken = _with_disagreeing_piece(family_function("gl3"))
+    monkeypatch.setattr(piecewise, "family_function", lambda _: broken)
+    with pytest.raises(PieceAgreementError) as raised:
+        verify_family("gl3", 2)
+    assert str(raised.value) == ("pieces [0, 1, 2, 3, 4, 5, 6, 7] disagree at {'k1': 0, 'k2': 0, "
+                                 "'l1': 0, 'l2': 0, 'c': 0}: [Fraction(1, 1), Fraction(999, 1)]")
 
 
 def test_orbit_expand_dedup():
@@ -267,6 +284,50 @@ def test_corrupted_modulus_rejected_at_load(modulus):
     assert piecewise_from_json(d).evaluate(point_of(d["variables"], (1, 1, 1, 1, 0)))[0] == 5
 
 
+def _cut_exponents(d):
+    for p in d["pieces"]:
+        for b in p["branches"]:
+            for m in b["monomials"]:
+                m["exponents"] = m["exponents"][:4]
+
+
+def _set_first_exponent(value):
+    def corrupt(d):
+        d["pieces"][0]["branches"][0]["monomials"][0]["exponents"][0] = value
+    return corrupt
+
+
+def _name_z(d):
+    d["pieces"][0]["cone"]["constraints"][0]["coeffs"]["z"] = "1"
+
+
+def _name_z_in_selector(d):
+    d["pieces"][0]["selector"] = {"coeffs": {"z": "1"}, "constant": "0"}
+
+
+def _repeat_variable(d):
+    d["variables"][1] = d["variables"][0]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_cut_exponents, r"exponents \[0, 0, 0, 0\] are not 5 nonnegative integers"),
+    (_set_first_exponent(-1), r"exponents \[-1, 0, 0, 0, 0\] are not 5"),
+    (_set_first_exponent("1"), r"exponents \['1', 0, 0, 0, 0\] are not 5"),
+    (_set_first_exponent(1.0), r"exponents \[1.0, 0, 0, 0, 0\] are not 5"),
+    (_name_z, "a form names 'z'"),
+    (_name_z_in_selector, "a form names 'z'"),
+    (_repeat_variable, r"repeated variable in \['k1', 'k1', 'l1', 'l2', 'c'\]"),
+], ids=["short", "negative", "str", "float", "unknown", "unknown-selector", "repeated"])
+def test_malformed_table_rejected_at_load(corrupt, message):
+    """A dump whose exponents or variable names do not fit its variables
+    fails when it is loaded, not later in evaluate (a wrong value, TypeError,
+    KeyError)."""
+    d = piecewise_to_json(family_function("gl3"))
+    corrupt(d)
+    with pytest.raises(ValueError, match=message):
+        piecewise_from_json(d)
+
+
 def test_json_round_trip():
     for family in ("gl3", "gl4nr2"):
         f = family_function(family)
@@ -276,6 +337,52 @@ def test_json_round_trip():
         for coords in [(1, 1, 1, 1, 0), (3, 2, 4, 1, 1), (0, 0, 0, 0, 0), (4, 4, 2, 2, 2)]:
             point = point_of(f.variables, coords)
             assert g.evaluate(point) == f.evaluate(point)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PieceAgreementError as e:
+        return "PieceAgreementError", str(e)
+
+
+def _slow_evaluate(f, point):
+    """evaluate() on the slow path: each piece read through Cone.contains and
+    QuasiPolynomial.__call__."""
+    if not f.support.contains(point):
+        return 0, None
+    hits = [(i, q(point)) for i, (cone, q) in enumerate(f.pieces) if cone.contains(point)]
+    if not hits:
+        raise PieceAgreementError(f"no piece covers in-support point {point}")
+    exact = {v for _, v in hits}
+    if len(exact) != 1:
+        raise PieceAgreementError(f"pieces {[i for i, _ in hits]} disagree at {point}: {sorted(exact)}")
+    value = exact.pop()
+    if value.denominator != 1:
+        raise PieceAgreementError(f"non-integral value {value} at {point}")
+    return value.numerator, hits[0][0]
+
+
+def _slow_values(f, point):
+    """values() on the slow path."""
+    out = []
+    for i, (cone, q) in enumerate(f.pieces):
+        if cone.contains(point):
+            value = q(point)
+            if value.denominator != 1:
+                raise PieceAgreementError(f"non-integral value {value} at {point}")
+            out.append((i, value.numerator))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(piecewise.FAMILIES))
+@given(coords=st.tuples(*[st.integers(-3, 15)] * 5))
+@settings(max_examples=150, deadline=None)
+def test_compiled_evaluation_matches_slow_path(family, coords):
+    f = family_function(family)
+    point = point_of(f.variables, coords)
+    assert _outcome(lambda: f.evaluate(point)) == _outcome(lambda: _slow_evaluate(f, point))
+    assert _outcome(lambda: f.values(point)) == _outcome(lambda: _slow_values(f, point))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +490,28 @@ def test_non_integral_values_raise():
     both = PiecewiseFunction(("x",), everywhere, half.pieces + (quarter,))
     with pytest.raises(PieceAgreementError, match="disagree"):
         both.evaluate({"x": 3})
+
+
+def test_evaluated_table_pickles_without_compiled_form():
+    x = Polynomial.var(("x",), "x")
+    everywhere = Cone.make([])
+    one = PiecewiseFunction(("x",), everywhere, ((everywhere, QuasiPolynomial.plain(x)),))
+    gl3 = gl3_count_function()
+    for f, point in ((one, {"x": 2}), (gl3, point_of(gl3.variables, (1, 1, 1, 1, 0)))):
+        fresh = pickle.dumps(f)
+        value = f.evaluate(point)
+        assert pickle.dumps(f) == fresh
+        assert pickle.loads(fresh).evaluate(point) == value
+
+
+def test_branch_over_other_variables_rejected():
+    """Compiled evaluation reads exponents by position, so a branch must be
+    over the table's variables in the table's order."""
+    everywhere = Cone.make([])
+    x = Polynomial.var(("x", "y"), "x")
+    for variables in (("y", "x"), ("x", "y", "z")):
+        with pytest.raises(ValueError, match="a branch over"):
+            PiecewiseFunction(variables, everywhere, ((everywhere, QuasiPolynomial.plain(x)),))
 
 
 @pytest.mark.parametrize("family", ["gl3", "gl4nr2"])
