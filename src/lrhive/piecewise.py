@@ -6,8 +6,9 @@ exact rational coefficients.  Includes the hard-coded 7-piece rank-3 table
 and the 36-piece rank-4 near-rectangular table, generated from 3 and 8 orbit
 representatives by one structure-checked builder (``_orbit_table``), three
 sample pieces of the rank-4 single-near-rectangular function, and the
-ground-truth enumeration they are validated against.  A table is evaluated
-through a compiled form of itself, built on first use: variables become
+ground-truth enumeration they are validated against.  The dataclasses hold
+a table for building, orbit expansion, deduplication and JSON; the only way
+to evaluate one is its compiled form, built on first use: variables become
 tuple positions, and each point gets one table of powers.
 """
 
@@ -53,12 +54,6 @@ class LinearForm:
         values = ((v, _integer(c)) for v, c in coeffs.items())
         return cls(tuple(sorted((v, c) for v, c in values if c)), _integer(constant))
 
-    def value_at(self, point: Mapping[str, int]) -> int:
-        total = self.constant
-        for v, c in self.coeffs:
-            total += c * point[v]
-        return total
-
     def permuted(self, perm: Mapping[str, str]) -> "LinearForm":
         coeffs = tuple(sorted((perm.get(v, v), c) for v, c in self.coeffs))
         return LinearForm(coeffs, self.constant)
@@ -81,9 +76,6 @@ class Cone:
     def make(cls, constraints: Iterable[LinearForm]) -> "Cone":
         return cls(frozenset(c.normalized() for c in constraints))
 
-    def contains(self, point: Mapping[str, int]) -> bool:
-        return all(form.value_at(point) >= 0 for form in self.constraints)
-
     def permuted(self, perm: Mapping[str, str]) -> "Cone":
         return Cone.make(c.permuted(perm) for c in self.constraints)
 
@@ -98,8 +90,8 @@ class Polynomial:
     numerator * x**exponents, divided by ``denominator``.
 
     Kept in lowest terms (gcd of the denominator and all numerators is 1), so
-    equal polynomials compare and hash equal, and evaluation is an integer
-    sum followed by one exact division.
+    equal polynomials compare and hash equal.  Only a table's compiled form
+    evaluates it: an integer sum followed by one exact division.
     """
 
     variables: tuple[str, ...]
@@ -176,20 +168,6 @@ class Polynomial:
             out = out * self
         return out
 
-    def numerator_at(self, point: Mapping[str, int]) -> int:
-        """The integer N with ``self(point) == N / self.denominator``."""
-        vals = [point[v] for v in self.variables]
-        total = 0
-        for e, c in self.numerators:
-            for base, exp in zip(vals, e):
-                if exp:
-                    c *= base**exp
-            total += c
-        return total
-
-    def __call__(self, point: Mapping[str, int]) -> Fraction:
-        return Fraction(self.numerator_at(point), self.denominator)
-
     def permuted(self, perm: Mapping[str, str]) -> "Polynomial":
         index = {v: i for i, v in enumerate(self.variables)}
         terms = []
@@ -222,15 +200,6 @@ class QuasiPolynomial:
     @classmethod
     def plain(cls, poly: Polynomial) -> "QuasiPolynomial":
         return cls(1, LinearForm.make({}), (poly,))
-
-    def branch(self, point: Mapping[str, int]) -> Polynomial:
-        """The branch polynomial that applies at ``point``."""
-        if self.modulus == 1:
-            return self.branches[0]
-        return self.branches[self.selector.value_at(point) % self.modulus]
-
-    def __call__(self, point: Mapping[str, int]) -> Fraction:
-        return self.branch(point)(point)
 
     def permuted(self, perm: Mapping[str, str]) -> "QuasiPolynomial":
         return QuasiPolynomial(
@@ -297,8 +266,9 @@ class PiecewiseFunction:
 
     @cached_property
     def _compiled(self):
-        """(coordinates, support, pieces, degree), built on the first
-        evaluation, so a table never evaluated costs nothing.
+        """(coordinates, support, pieces, degree): the one evaluator of the
+        table, built on the first evaluation, so a table never evaluated
+        costs nothing.
 
         ``coordinates`` reads a point as a tuple in the order of
         ``variables``; the support, and each piece as (cone, modulus,

@@ -3,6 +3,7 @@
 import hashlib
 import pickle
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -47,24 +48,28 @@ VARS = ("x", "y")
 def test_polynomial_arithmetic():
     x = Polynomial.var(VARS, "x")
     y = Polynomial.var(VARS, "y")
-    p = (x + y) * (x - y)
-    assert p({"x": 3, "y": 2}) == 5
+    p = (x + y) * (x - y)  # kept in lowest terms, so compared by equality
+    assert p == x**2 - y**2
     assert (p - x * x + y * y).terms == ()
     q = Fraction(1, 2) * x**2 + 1
-    assert q({"x": 3, "y": 0}) == Fraction(11, 2)
-    swapped = p.permuted({"x": "y", "y": "x"})
-    assert swapped({"x": 3, "y": 2}) == -5
+    assert (q.numerators, q.denominator) == ((((0, 0), 2), ((2, 0), 1)), 2)
+    assert p.permuted({"x": "y", "y": "x"}) == y**2 - x**2
+
+
+def _everywhere(q):
+    """The one-piece table over all of space whose value is ``q``."""
+    everywhere = Cone.make([])
+    return PiecewiseFunction(q.branches[0].variables, everywhere, ((everywhere, q),))
 
 
 def test_binom3_integrality():
     x = Polynomial.var(("x",), "x")
-    b = binom3(x)
+    b = _everywhere(QuasiPolynomial.plain(binom3(x)))
     for v in range(-5, 8):
-        val = b({"x": v})
-        assert val.denominator == 1
+        value, _ = b.evaluate({"x": v})  # raises on a non-integral value
         if 0 <= v <= 2:
-            assert val == 0
-    assert b({"x": 5}) == 10
+            assert value == 0
+    assert b.evaluate({"x": 5}) == (10, 0)
 
 
 def test_linear_form_normalization():
@@ -94,10 +99,13 @@ def test_linear_forms_are_integral():
 
 
 def test_cone_contains():
+    """A table whose support and only piece are the cone is 0 outside it."""
     cone = Cone.make([LinearForm.make({"x": 1, "y": -1}), LinearForm.make({"y": 1})])
-    assert cone.contains({"x": 3, "y": 1})
-    assert cone.contains({"x": 1, "y": 1})  # closed
-    assert not cone.contains({"x": 0, "y": 1})
+    f = PiecewiseFunction(VARS, cone, ((cone, QuasiPolynomial.plain(Polynomial.const(VARS, 1))),))
+    assert f.evaluate({"x": 3, "y": 1}) == (1, 0)
+    assert f.evaluate({"x": 1, "y": 1}) == (1, 0)  # closed
+    assert f.evaluate({"x": 0, "y": 1}) == (0, None)
+    assert f.values({"x": 0, "y": 1}) == []
 
 
 def test_permutation_group_closure():
@@ -108,9 +116,9 @@ def test_permutation_group_closure():
 
 def test_quasi_polynomial_branches():
     x = Polynomial.var(("x",), "x")
-    q = QuasiPolynomial(2, LinearForm.make({"x": 1}), (x, x + 1))
-    assert q({"x": 4}) == 4
-    assert q({"x": 5}) == 6
+    f = _everywhere(QuasiPolynomial(2, LinearForm.make({"x": 1}), (x, x + 1)))
+    assert f.evaluate({"x": 4}) == (4, 0)
+    assert f.evaluate({"x": 5}) == (6, 0)
 
 
 def test_gl3_table_structure():
@@ -251,12 +259,13 @@ def test_sample_pieces():
     pieces = f.pieces
     assert len(pieces) == 3
     assert pieces[1][1].modulus == 2  # the quasi-polynomial piece
+    _, support, ref_pieces = _ref_table(f)
     point = point_of(GL4NR_VARIABLES, (1, 1, 1, 0, 0))
-    assert pieces[0][0].contains(point)
+    assert _ref_contains(ref_pieces[0][0], point)
     assert dict(f.values(point))[0] == 3 == enum_value("gl4nr-samples", point)
     # a piece whose cone does not contain the point gives no value there
     outside = point_of(GL4NR_VARIABLES, (0, 0, 5, 0, 0))
-    assert f.support.contains(outside) and not pieces[0][0].contains(outside)
+    assert _ref_contains(support, outside) and not _ref_contains(ref_pieces[0][0], outside)
     assert 0 not in dict(f.values(outside))
 
 
@@ -346,49 +355,11 @@ def _outcome(call):
         return "PieceAgreementError", str(e)
 
 
-def _slow_evaluate(f, point):
-    """evaluate() on the slow path: each piece read through Cone.contains and
-    QuasiPolynomial.__call__."""
-    if not f.support.contains(point):
-        return 0, None
-    hits = [(i, q(point)) for i, (cone, q) in enumerate(f.pieces) if cone.contains(point)]
-    if not hits:
-        raise PieceAgreementError(f"no piece covers in-support point {point}")
-    exact = {v for _, v in hits}
-    if len(exact) != 1:
-        raise PieceAgreementError(f"pieces {[i for i, _ in hits]} disagree at {point}: {sorted(exact)}")
-    value = exact.pop()
-    if value.denominator != 1:
-        raise PieceAgreementError(f"non-integral value {value} at {point}")
-    return value.numerator, hits[0][0]
-
-
-def _slow_values(f, point):
-    """values() on the slow path."""
-    out = []
-    for i, (cone, q) in enumerate(f.pieces):
-        if cone.contains(point):
-            value = q(point)
-            if value.denominator != 1:
-                raise PieceAgreementError(f"non-integral value {value} at {point}")
-            out.append((i, value.numerator))
-    return out
-
-
-@pytest.mark.parametrize("family", sorted(piecewise.FAMILIES))
-@given(coords=st.tuples(*[st.integers(-3, 15)] * 5))
-@settings(max_examples=150, deadline=None)
-def test_compiled_evaluation_matches_slow_path(family, coords):
-    f = family_function(family)
-    point = point_of(f.variables, coords)
-    assert _outcome(lambda: f.evaluate(point)) == _outcome(lambda: _slow_evaluate(f, point))
-    assert _outcome(lambda: f.values(point)) == _outcome(lambda: _slow_values(f, point))
-
-
 # ---------------------------------------------------------------------------
-# integer evaluation against a plain Fraction reference
+# evaluation against a plain Fraction reference, read from the JSON dump
 
 
+@lru_cache(maxsize=None)
 def _ref_table(f):
     """The JSON form of ``f`` with every rational parsed to a Fraction."""
     d = piecewise_to_json(f)
@@ -417,6 +388,7 @@ def _ref_contains(cone, point):
 
 
 def _ref_piece_value(piece, variables, point):
+    """(branch index, value) of one piece at ``point``."""
     _, modulus, selector, branches = piece
     branch = 0
     if modulus != 1:
@@ -429,7 +401,45 @@ def _ref_piece_value(piece, variables, point):
         for v, e in zip(variables, exponents):
             monomial *= point[v] ** e
         total += coeff * monomial
-    return total
+    return branch, total
+
+
+def _ref_hits(f, point):
+    """(index, branch index, value) of every piece whose cone contains ``point``."""
+    variables, _, pieces = _ref_table(f)
+    return [(i, *_ref_piece_value(piece, variables, point))
+            for i, piece in enumerate(pieces) if _ref_contains(piece[0], point)]
+
+
+def _ref_values(f, point):
+    """``f.values(point)`` in Fraction arithmetic."""
+    out = []
+    for i, _, value in _ref_hits(f, point):
+        if value.denominator != 1:
+            raise PieceAgreementError(f"non-integral value {value} at {point}")
+        out.append((i, value.numerator))
+    return out
+
+
+def _ref_evaluate(f, point):
+    """``f.evaluate(point)`` in Fraction arithmetic."""
+    if not _ref_contains(_ref_table(f)[1], point):
+        return 0, None
+    hits = _ref_hits(f, point)
+    if not hits:
+        raise PieceAgreementError(f"no piece covers in-support point {point}")
+    exact = {value for _, _, value in hits}
+    if len(exact) != 1:
+        raise PieceAgreementError(f"pieces {[i for i, _, _ in hits]} disagree at {point}: {sorted(exact)}")
+    value = exact.pop()
+    if value.denominator != 1:
+        raise PieceAgreementError(f"non-integral value {value} at {point}")
+    return value.numerator, hits[0][0]
+
+
+def _assert_matches_reference(f, point):
+    assert _outcome(lambda: f.evaluate(point)) == _outcome(lambda: _ref_evaluate(f, point)), point
+    assert _outcome(lambda: f.values(point)) == _outcome(lambda: _ref_values(f, point)), point
 
 
 @pytest.mark.parametrize("table, values", [
@@ -439,44 +449,26 @@ def _ref_piece_value(piece, variables, point):
 ])
 def test_integer_evaluation_matches_fraction_reference(table, values):
     f = family_function(table)
-    variables, support, ref_pieces = _ref_table(f)
     branches_hit = set()
     for coords in product(values, repeat=len(f.variables)):
         point = point_of(f.variables, coords)
-        hits = []
-        for i, ((cone, q), ref) in enumerate(zip(f.pieces, ref_pieces)):
-            inside, value = _ref_contains(ref[0], point), _ref_piece_value(ref, variables, point)
-            assert cone.contains(point) == inside, coords
-            assert q(point) == value, coords
-            if inside:
-                hits.append((i, value))
-                branches_hit.add((i, q.branches.index(q.branch(point))))
-        # values() and evaluate() spelled out in Fraction arithmetic
-        if all(v.denominator == 1 for _, v in hits):
-            assert f.values(point) == [(i, v.numerator) for i, v in hits], coords
-        else:
-            with pytest.raises(PieceAgreementError, match="non-integral"):
-                f.values(point)
-        if not _ref_contains(support, point):
-            expected = (0, None)
-        elif not hits or len({v for _, v in hits}) != 1 or hits[0][1].denominator != 1:
-            expected = "PieceAgreementError"
-        else:
-            expected = (hits[0][1].numerator, hits[0][0])
-        try:
-            got = f.evaluate(point)
-        except PieceAgreementError:
-            got = "PieceAgreementError"
-        assert got == expected, coords
+        _assert_matches_reference(f, point)
+        branches_hit.update((i, branch) for i, branch, _ in _ref_hits(f, point))
     assert all((i, b) in branches_hit for i, (_, q) in enumerate(f.pieces)
                for b in range(q.modulus))
 
 
+@pytest.mark.parametrize("family", sorted(piecewise.FAMILIES))
+@given(coords=st.tuples(*[st.integers(-3, 15)] * 5))
+@settings(max_examples=150, deadline=None)
+def test_random_points_match_fraction_reference(family, coords):
+    f = family_function(family)
+    _assert_matches_reference(f, point_of(f.variables, coords))
+
+
 def test_non_integral_values_raise():
     x = Polynomial.var(("x",), "x")
-    everywhere = Cone.make([])
-    half = PiecewiseFunction(("x",), everywhere,
-                             ((everywhere, QuasiPolynomial.plain(Fraction(1, 2) * x)),))
+    half = _everywhere(QuasiPolynomial.plain(Fraction(1, 2) * x))
     assert half.evaluate({"x": 4}) == (2, 0)
     assert half.evaluate({"x": -2}) == (-1, 0)
     assert half.values({"x": -2}) == [(0, -1)]
@@ -486,16 +478,15 @@ def test_non_integral_values_raise():
         with pytest.raises(PieceAgreementError, match="non-integral"):
             half.values({"x": odd})
     # 3/2 and 5/4 have equal integer parts and remainders, yet disagree
-    quarter = (everywhere, QuasiPolynomial.plain((x + 2) * Fraction(1, 4)))
-    both = PiecewiseFunction(("x",), everywhere, half.pieces + (quarter,))
+    quarter = _everywhere(QuasiPolynomial.plain((x + 2) * Fraction(1, 4)))
+    both = PiecewiseFunction(("x",), half.support, half.pieces + quarter.pieces)
     with pytest.raises(PieceAgreementError, match="disagree"):
         both.evaluate({"x": 3})
 
 
 def test_evaluated_table_pickles_without_compiled_form():
     x = Polynomial.var(("x",), "x")
-    everywhere = Cone.make([])
-    one = PiecewiseFunction(("x",), everywhere, ((everywhere, QuasiPolynomial.plain(x)),))
+    one = _everywhere(QuasiPolynomial.plain(x))
     gl3 = gl3_count_function()
     for f, point in ((one, {"x": 2}), (gl3, point_of(gl3.variables, (1, 1, 1, 1, 0)))):
         fresh = pickle.dumps(f)
