@@ -6,10 +6,14 @@ exact rational coefficients.  Includes the hard-coded 7-piece rank-3 table
 and the 36-piece rank-4 near-rectangular table, generated from 3 and 8 orbit
 representatives by one structure-checked builder (``_orbit_table``), three
 sample pieces of the rank-4 single-near-rectangular function, and the
-ground-truth enumeration they are validated against.  The dataclasses hold
-a table for building, orbit expansion, deduplication and JSON; the only way
-to evaluate one is its compiled form, built on first use: variables become
-tuple positions, and each point gets one table of powers.
+ground-truth enumeration they are validated against.  One algebra type,
+``Polynomial``, holds the branches and, at degree <= 1 with integer
+coefficients, every cone constraint and selector, so a transcription reads
+as its printed inequality (``k1 + k2 - l1 - c``) and one ``permuted`` moves
+walls and branches alike.  The dataclasses hold a table for building, orbit
+expansion, deduplication by value and JSON; the only way to evaluate one is
+its compiled form, built on first use: variables become tuple positions, and
+each point gets one table of powers.
 """
 
 from __future__ import annotations
@@ -28,56 +32,6 @@ from .partitions import Partition, enumerate_nu_candidates, padded
 from .product import _lr_counts
 
 Rational = Fraction | int
-
-
-# ---------------------------------------------------------------------------
-# linear forms and cones
-
-
-def _integer(c: Rational | str) -> int:
-    c = Fraction(c)
-    if c.denominator != 1:
-        raise ValueError(f"linear forms need integer coefficients, not {c}")
-    return c.numerator
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """coeffs . x + constant, with integer coefficients."""
-
-    coeffs: tuple[tuple[str, int], ...]  # sorted by variable name, no zeros
-    constant: int
-
-    @classmethod
-    def make(cls, coeffs: Mapping[str, Rational], constant: Rational = 0) -> "LinearForm":
-        """Raises ValueError on a coefficient or constant that is not an integer."""
-        values = ((v, _integer(c)) for v, c in coeffs.items())
-        return cls(tuple(sorted((v, c) for v, c in values if c)), _integer(constant))
-
-    def permuted(self, perm: Mapping[str, str]) -> "LinearForm":
-        coeffs = tuple(sorted((perm.get(v, v), c) for v, c in self.coeffs))
-        return LinearForm(coeffs, self.constant)
-
-    def normalized(self) -> "LinearForm":
-        """Divide by the (positive) gcd of the coefficients and constant."""
-        g = gcd(self.constant, *(c for _, c in self.coeffs))
-        if not g:
-            return self
-        return LinearForm(tuple((v, c // g) for v, c in self.coeffs), self.constant // g)
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Closed polyhedral cone: each constraint read as >= 0."""
-
-    constraints: frozenset[LinearForm]
-
-    @classmethod
-    def make(cls, constraints: Iterable[LinearForm]) -> "Cone":
-        return cls(frozenset(c.normalized() for c in constraints))
-
-    def permuted(self, perm: Mapping[str, str]) -> "Cone":
-        return Cone.make(c.permuted(perm) for c in self.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +123,13 @@ class Polynomial:
         return out
 
     def permuted(self, perm: Mapping[str, str]) -> "Polynomial":
-        index = {v: i for i, v in enumerate(self.variables)}
-        terms = []
-        for e, c in self.numerators:
-            new = [0] * len(self.variables)
-            for v, exp in zip(self.variables, e):
-                new[index[perm.get(v, v)]] = exp
-            terms.append((tuple(new), c))
-        return Polynomial(self.variables, tuple(sorted(terms)), self.denominator)
+        # the exponent of v moves to the position of perm(v)
+        target = [self.variables.index(perm.get(v, v)) for v in self.variables]
+        source = sorted(range(len(target)), key=target.__getitem__)
+        # itemgetter of one index returns a bare value; one variable never moves
+        moved = itemgetter(*source) if len(source) > 1 else tuple
+        terms = sorted((moved(e), c) for e, c in self.numerators)
+        return Polynomial(self.variables, tuple(terms), self.denominator)
 
 
 def binom3(expr: Polynomial) -> Polynomial:
@@ -184,22 +137,67 @@ def binom3(expr: Polynomial) -> Polynomial:
     return expr * (expr - 1) * (expr - 2) * Fraction(1, 6)
 
 
+def _linear_form(p: Polynomial) -> Polynomial:
+    """``p``, checked to be a linear form with integer coefficients.
+
+    Raises ValueError on a rational coefficient and on degree above 1.
+    """
+    if p.denominator != 1:
+        c = next(Fraction(c, p.denominator) for _, c in p.numerators if c % p.denominator)
+        raise ValueError(f"linear forms need integer coefficients, not {c}")
+    degree = max((sum(e) for e, _ in p.numerators), default=0)
+    if degree > 1:
+        raise ValueError(f"linear forms have degree at most 1, not {degree}")
+    return p
+
+
+@dataclass(frozen=True)
+class Cone:
+    """Closed polyhedral cone: each constraint, a linear form, read as >= 0.
+
+    ``make`` checks each form with ``_linear_form`` and stores it divided by
+    the gcd of its coefficients, so positive multiples of a form are stored
+    as one.
+    """
+
+    constraints: frozenset[Polynomial]
+
+    @classmethod
+    def make(cls, constraints: Iterable[Polynomial]) -> "Cone":
+        primitive = []
+        for form in map(_linear_form, constraints):
+            g = gcd(*(c for _, c in form.numerators))
+            if g > 1:
+                form = Polynomial(form.variables, tuple((e, c // g) for e, c in form.numerators))
+            primitive.append(form)
+        return cls(frozenset(primitive))
+
+    def permuted(self, perm: Mapping[str, str]) -> "Cone":
+        # a permuted primitive linear form is one too
+        return Cone(frozenset(c.permuted(perm) for c in self.constraints))
+
+
 @dataclass(frozen=True)
 class QuasiPolynomial:
-    """m branch polynomials selected by (selector value) mod m; m = 1 is plain."""
+    """m branch polynomials selected by (selector value) mod m; m = 1 is plain.
+
+    The selector is a linear form with integer coefficients (checked with
+    ``_linear_form``), kept as written: its value mod m picks the branch.
+    """
 
     modulus: int
-    selector: LinearForm
+    selector: Polynomial
     branches: tuple[Polynomial, ...]
 
     def __post_init__(self):
+        _linear_form(self.selector)
         if type(self.modulus) is not int or self.modulus < 1 or len(self.branches) != self.modulus:
             raise ValueError(f"a quasi-polynomial of modulus {self.modulus} needs that many "
                              f"branches (>= 1), not {len(self.branches)}")
 
     @classmethod
     def plain(cls, poly: Polynomial) -> "QuasiPolynomial":
-        return cls(1, LinearForm.make({}), (poly,))
+        return cls(1, Polynomial(poly.variables, ()), (poly,))
 
     def permuted(self, perm: Mapping[str, str]) -> "QuasiPolynomial":
         return QuasiPolynomial(
@@ -224,6 +222,12 @@ IndexedForm = tuple[int, tuple[tuple[int, int], ...]]
 IndexedPolynomial = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
 
 
+def _affine(form: Polynomial) -> IndexedForm:
+    """A linear form compiled: its exponent tuples are zero or one unit."""
+    return (sum(c for e, c in form.numerators if not any(e)),
+            tuple((e.index(1), c) for e, c in form.numerators if any(e)))
+
+
 def _inside(cone: tuple[IndexedForm, ...], coords: tuple[int, ...]) -> bool:
     for total, terms in cone:
         for j, c in terms:
@@ -233,28 +237,31 @@ def _inside(cone: tuple[IndexedForm, ...], coords: tuple[int, ...]) -> bool:
     return True
 
 
+def _distinct(variables) -> tuple[str, ...]:
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"repeated variable in {list(variables)}")
+    return variables
+
+
 @dataclass(frozen=True)
 class PiecewiseFunction:
-    """Raises ValueError on repeated variables, on a form that names a
-    variable not in ``variables``, and on a branch over other variables."""
+    """Raises ValueError on repeated variables, and on a form or branch
+    over other variables."""
 
     variables: tuple[str, ...]
     support: Cone
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"repeated variable in {list(self.variables)}")
+        _distinct(self.variables)
+        branches = [branch for _, q in self.pieces for branch in q.branches]
         forms = [*self.support.constraints,
                  *(form for cone, q in self.pieces for form in (*cone.constraints, q.selector))]
-        for form in forms:
-            for v, _ in form.coeffs:
-                if v not in self.variables:
-                    raise ValueError(f"a form names {v!r}, which is not one of {list(self.variables)}")
-        for _, q in self.pieces:
-            for branch in q.branches:
-                if branch.variables != self.variables:
-                    raise ValueError(f"a branch over {list(branch.variables)} in a table over "
+        for kind, parts in (("branch", branches), ("form", forms)):
+            for p in parts:
+                if p.variables != self.variables:
+                    raise ValueError(f"a {kind} over {list(p.variables)} in a table over "
                                      f"{list(self.variables)}")
 
     def __getstate__(self):
@@ -275,7 +282,6 @@ class PiecewiseFunction:
         selector, branches), refer to variables by position in that tuple;
         ``degree`` is the highest exponent.
         """
-        index = {v: i for i, v in enumerate(self.variables)}
         if len(self.variables) > 1:
             coordinates = itemgetter(*self.variables)
         else:  # itemgetter of one name returns its bare value, not a 1-tuple
@@ -284,9 +290,7 @@ class PiecewiseFunction:
                 return tuple(point[v] for v in self.variables)
 
         # pieces share forms and exponent tuples: compile each one once
-        @lru_cache(maxsize=None)
-        def form(lf: LinearForm) -> IndexedForm:
-            return lf.constant, tuple((index[v], c) for v, c in lf.coeffs)
+        form = lru_cache(maxsize=None)(_affine)
 
         @lru_cache(maxsize=None)
         def factors(e: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -376,19 +380,10 @@ def point_of(variables, values) -> dict[str, int]:
 # orbit expansion
 
 
-def _piece_key(piece: Piece):
-    cone, q = piece
-    return (cone.constraints, q.modulus, q.selector, q.branches)
-
-
 def orbit_expand(representatives: Iterable[Piece], group: Iterable[Mapping[str, str]]) -> list[Piece]:
     """Closure of the pieces under variable permutations, deduplicated."""
-    seen = {}
-    for cone, q in representatives:
-        for perm in group:
-            image = (cone.permuted(perm), q.permuted(perm))
-            seen.setdefault(_piece_key(image), image)
-    return list(seen.values())
+    return list(dict.fromkeys((cone.permuted(perm), q.permuted(perm))
+                              for cone, q in representatives for perm in group))
 
 
 def permutation_group(generators: Iterable[Mapping[str, str]], variables) -> list[dict[str, str]]:
@@ -479,10 +474,6 @@ class TranscriptionError(AssertionError):
     """A hard-coded table failed its structural self-check."""
 
 
-def _lf(**coeffs) -> LinearForm:
-    return LinearForm.make(coeffs)
-
-
 def _orbit_table(representatives, generators, total: int) -> PiecewiseFunction:
     """The table over (k1, k2, l1, l2, c) whose pieces are the orbits of the
     (cone, polynomial, expected orbit size) representatives under the order-8
@@ -500,11 +491,12 @@ def _orbit_table(representatives, generators, total: int) -> PiecewiseFunction:
         if len(orbit) != expected:
             raise TranscriptionError(f"orbit size {len(orbit)} != expected {expected}")
         pieces.extend(orbit)
-    distinct = len({_piece_key(p) for p in pieces})
+    distinct = len(set(pieces))
     if distinct != total or len(pieces) != total:
         raise TranscriptionError(f"expected {total} distinct pieces, got {distinct} of {len(pieces)}")
     # everything >= c >= 0
-    support = Cone.make([_lf(c=1)] + [_lf(**{v: 1, "c": -1}) for v in ("k1", "k2", "l1", "l2")])
+    k1, k2, l1, l2, c = (Polynomial.var(GL3_VARIABLES, v) for v in GL3_VARIABLES)
+    support = Cone.make([c, k1 - c, k2 - c, l1 - c, l2 - c])
     return PiecewiseFunction(GL3_VARIABLES, support, tuple(pieces))
 
 
@@ -538,10 +530,9 @@ def gl3_count_function() -> PiecewiseFunction:
         + 1
     )
     # k1+k2 >= max(l1,l2)+c, l1+l2 >= max(k1,k2)+c
-    c1 = Cone.make([_lf(k1=1, k2=1, l1=-1, c=-1), _lf(k1=1, k2=1, l2=-1, c=-1),
-                    _lf(l1=1, l2=1, k1=-1, c=-1), _lf(l1=1, l2=1, k2=-1, c=-1)])
-    c2 = Cone.make([_lf(l1=1, c=1, k1=-1, k2=-1), _lf(l2=1, c=1, k1=-1, k2=-1)])
-    c4 = Cone.make([_lf(k1=1, k2=1, l1=-1, c=-1), _lf(l2=1, c=1, k1=-1, k2=-1)])
+    c1 = Cone.make([k1 + k2 - l1 - c, k1 + k2 - l2 - c, l1 + l2 - k1 - c, l1 + l2 - k2 - c])
+    c2 = Cone.make([l1 + c - k1 - k2, l2 + c - k1 - k2])
+    c4 = Cone.make([k1 + k2 - l1 - c, l2 + c - k1 - k2])
     # [T, S2], not [S1, S2]: the orbit order is the piece order that the
     # dump and the point output's piece index show
     return _orbit_table([(c1, p1, 1), (c2, p2, 2), (c4, p4, 4)], [T, S2], 7)
@@ -566,18 +557,14 @@ def _gl4nr2_representatives() -> list[tuple[Cone, Polynomial, int]]:
     p27 = p29 + binom3(l1 + l2 - k1 - k2 + 1)
     p36 = p21 + binom3(l2 - k2 + 1)
 
-    c1 = Cone.make([_lf(k1=1, c=1, l1=-1, l2=-1), _lf(k2=1, c=1, l1=-1, l2=-1)])
-    c16 = Cone.make([_lf(k1=1, c=1, l1=-1, l2=-1), _lf(l1=1, l2=1, k2=-1, c=-1),
-                     _lf(k2=1, l1=-1), _lf(k2=1, l2=-1)])
-    c2 = Cone.make([_lf(l1=1, l2=1, k1=-1, c=-1), _lf(l1=1, l2=1, k2=-1, c=-1),
-                    _lf(k1=1, l1=-1), _lf(k1=1, l2=-1), _lf(k2=1, l1=-1), _lf(k2=1, l2=-1)])
-    c19 = Cone.make([_lf(l1=1, l2=1, k1=-1, c=-1), _lf(k1=1, l1=-1),
-                     _lf(l1=1, k2=-1), _lf(k2=1, l2=-1)])
-    c21 = Cone.make([_lf(k1=1, c=1, l1=-1, l2=-1), _lf(l1=1, k2=-1), _lf(k2=1, l2=-1)])
-    c29 = Cone.make([_lf(k1=1, k2=1, l1=-1, l2=-1), _lf(l1=1, l2=1, k1=-1, c=-1),
-                     _lf(l1=1, k2=-1), _lf(l2=1, k2=-1)])
-    c27 = Cone.make([_lf(l1=1, l2=1, k1=-1, k2=-1), _lf(k1=1, l1=-1), _lf(k1=1, l2=-1)])
-    c36 = Cone.make([_lf(k1=1, c=1, l1=-1, l2=-1), _lf(l1=1, k2=-1), _lf(l2=1, k2=-1)])
+    c1 = Cone.make([k1 + c - l1 - l2, k2 + c - l1 - l2])
+    c16 = Cone.make([k1 + c - l1 - l2, l1 + l2 - k2 - c, k2 - l1, k2 - l2])
+    c2 = Cone.make([l1 + l2 - k1 - c, l1 + l2 - k2 - c, k1 - l1, k1 - l2, k2 - l1, k2 - l2])
+    c19 = Cone.make([l1 + l2 - k1 - c, k1 - l1, l1 - k2, k2 - l2])
+    c21 = Cone.make([k1 + c - l1 - l2, l1 - k2, k2 - l2])
+    c29 = Cone.make([k1 + k2 - l1 - l2, l1 + l2 - k1 - c, l1 - k2, l2 - k2])
+    c27 = Cone.make([l1 + l2 - k1 - k2, k1 - l1, k1 - l2])
+    c36 = Cone.make([k1 + c - l1 - l2, l1 - k2, l2 - k2])
 
     return [
         (c1, p1, 2), (c16, p16, 4), (c2, p2, 2), (c19, p19, 8),
@@ -597,10 +584,8 @@ def gl4nr2_count_function() -> PiecewiseFunction:
 
 def s1_fixed_pieces(f: PiecewiseFunction) -> list[int]:
     """Indices of pieces invariant under swapping k1 and k2."""
-    return [
-        i for i, p in enumerate(f.pieces)
-        if _piece_key((p[0].permuted(S1), p[1].permuted(S1))) == _piece_key(p)
-    ]
+    return [i for i, (cone, q) in enumerate(f.pieces)
+            if (cone.permuted(S1), q.permuted(S1)) == (cone, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -627,33 +612,23 @@ def gl4nr_samples_function() -> PiecewiseFunction:
         * (3 * (k1**2 + k2**2) - 3 * (k1 + k2) * (2 * m1 + 1) + 3 * m1**2 + 2 * m2**2 - 3 * m1 + 4 * m2 - 6)
     )
 
-    ambient = [_lf(k1=1), _lf(k2=1), _lf(m1=1, m2=-1), _lf(m2=1, m3=-1), _lf(m3=1)]
+    ambient = [k1, k2, m1 - m2, m2 - m3, m3]
 
-    cone1 = Cone.make(ambient + [
-        _lf(m1=1, k1=-1, m3=-1), _lf(m1=1, k2=-1, m3=-1),
-        _lf(m2=1, m3=-1), _lf(k1=1, k2=1, m3=1, m1=-1, m2=-1),
-    ])
+    cone1 = Cone.make(ambient + [m1 - k1 - m3, m1 - k2 - m3, m2 - m3, k1 + k2 + m3 - m1 - m2])
     piece1 = (cone1, QuasiPolynomial.plain(base))
 
     cone2 = Cone.make(ambient + [
-        _lf(m1=1, m2=1, k1=-1, k2=-1, m3=-1),
-        _lf(k2=1, m1=1, k1=-1, m2=-1, m3=-1),
-        _lf(k2=1, m3=1, m2=-1),
-        _lf(k1=1, m1=1, k2=-1, m2=-1, m3=-1),
-        _lf(k1=1, m3=1, m2=-1),
-        _lf(k1=1, k2=1, m1=-1),
+        m1 + m2 - k1 - k2 - m3, k2 + m1 - k1 - m2 - m3, k2 + m3 - m2,
+        k1 + m1 - k2 - m2 - m3, k1 + m3 - m2, k1 + k2 - m1,
     ])
     s = k1 + k2 - m1 - m2 + m3
     slope = -2 * k1 - 2 * k2 + 2 * m1 + 2 * m2 + 4 * m3 + 3
     odd = base + Fraction(1, 24) * (s - 1) * (s + 1) * slope
     even = base + Fraction(1, 24) * s * (2 + s * slope)
-    selector = _lf(k1=1, k2=1, m1=1, m2=1, m3=1)
+    selector = k1 + k2 + m1 + m2 + m3
     piece2 = (cone2, QuasiPolynomial(2, selector, (even, odd)))
 
-    cone3 = Cone.make(ambient + [
-        _lf(m1=1, k1=-1), _lf(m1=1, k2=-1, m3=-1), _lf(m2=1, m3=-1),
-        _lf(k2=1, m2=-1), _lf(k1=1, m3=1, m1=-1),
-    ])
+    cone3 = Cone.make(ambient + [m1 - k1, m1 - k2 - m3, m2 - m3, k2 - m2, k1 + m3 - m1])
     piece3 = (cone3, QuasiPolynomial.plain(base + binom3(k1 - m1 + m3 + 1)))
 
     return PiecewiseFunction(V, Cone.make(ambient), (piece1, piece2, piece3))
@@ -734,20 +709,27 @@ def verify_family(family: str, bound: int):
 # JSON schema (compatibility surface)
 
 
-def _form_to_json(lf: LinearForm) -> dict:
-    return {"coeffs": {v: str(c) for v, c in lf.coeffs}, "constant": str(lf.constant)}
+def _form_to_json(form: Polynomial) -> dict:
+    constant, terms = _affine(form)
+    coeffs = {form.variables[j]: c for j, c in terms}
+    return {"coeffs": {v: str(coeffs[v]) for v in sorted(coeffs)}, "constant": str(constant)}
 
 
-def _form_from_json(d: dict) -> LinearForm:
-    return LinearForm.make(d["coeffs"], d["constant"])
+def _form_from_json(d: dict, variables) -> Polynomial:
+    terms = {(0,) * len(variables): d["constant"]}
+    for v, c in d["coeffs"].items():
+        if v not in variables:
+            raise ValueError(f"a form names {v!r}, which is not one of {list(variables)}")
+        terms[tuple(int(u == v) for u in variables)] = c
+    return Polynomial.make(variables, terms)
 
 
 def _cone_to_json(cone: Cone) -> dict:
     return {"constraints": sorted((_form_to_json(c) for c in cone.constraints), key=repr)}
 
 
-def _cone_from_json(d: dict) -> Cone:
-    return Cone.make(_form_from_json(c) for c in d["constraints"])
+def _cone_from_json(d: dict, variables) -> Cone:
+    return Cone.make(_form_from_json(c, variables) for c in d["constraints"])
 
 
 def _poly_to_json(p: Polynomial) -> dict:
@@ -766,14 +748,17 @@ def _exponents_from_json(e, n: int) -> tuple[int, ...]:
 
 
 def _poly_from_json(d: dict, variables) -> Polynomial:
-    return Polynomial.make(
-        variables,
-        {
-            _exponents_from_json(m["exponents"], len(variables)):
-                Fraction(m["numerator"], m["denominator"])
-            for m in d["monomials"]
-        },
-    )
+    terms = {}
+    for m in d["monomials"]:
+        e = _exponents_from_json(m["exponents"], len(variables))
+        num, den = m["numerator"], m["denominator"]
+        if type(num) is not int or type(den) is not int or not den:
+            raise ValueError(f"a coefficient needs an int numerator and a nonzero int "
+                             f"denominator, not {num!r}/{den!r}")
+        if e in terms:
+            raise ValueError(f"exponents {list(e)} are listed twice")
+        terms[e] = Fraction(num, den)
+    return Polynomial.make(variables, terms)
 
 
 def piecewise_to_json(f: PiecewiseFunction) -> dict:
@@ -793,16 +778,16 @@ def piecewise_to_json(f: PiecewiseFunction) -> dict:
 
 
 def piecewise_from_json(d: dict) -> PiecewiseFunction:
-    variables = tuple(d["variables"])
+    variables = _distinct(d["variables"])  # before any form is read against them
     pieces = tuple(
         (
-            _cone_from_json(p["cone"]),
+            _cone_from_json(p["cone"], variables),
             QuasiPolynomial(
                 p["modulus"],
-                _form_from_json(p["selector"]),
+                _form_from_json(p["selector"], variables),
                 tuple(_poly_from_json(b, variables) for b in p["branches"]),
             ),
         )
         for p in d["pieces"]
     )
-    return PiecewiseFunction(variables, _cone_from_json(d["support"]), pieces)
+    return PiecewiseFunction(variables, _cone_from_json(d["support"], variables), pieces)

@@ -19,7 +19,6 @@ from lrhive.piecewise import (
     S2,
     T,
     Cone,
-    LinearForm,
     PieceAgreementError,
     PiecewiseFunction,
     Polynomial,
@@ -73,19 +72,29 @@ def test_binom3_integrality():
 
 
 def test_linear_form_normalization():
-    a = LinearForm.make({"x": 2, "y": -4}, 6)
-    b = LinearForm.make({"x": Fraction(1), "y": Fraction(-2)}, 3)
-    assert a.normalized() == b.normalized()
+    """A cone stores each constraint divided by the gcd of its coefficients."""
+    x, y = (Polynomial.var(VARS, v) for v in VARS)
+    a = Cone.make([2 * x - 4 * y + 6])
+    assert a == Cone.make([Fraction(1) * x - Fraction(2) * y + 3])
+    assert a.constraints == {x - 2 * y + 3}
     # only positive scalings identified
-    c = LinearForm.make({"x": -1, "y": 2}, -3)
-    assert a.normalized() != c.normalized()
+    assert a != Cone.make([-x + 2 * y - 3])
 
 
 def test_linear_forms_are_integral():
-    assert LinearForm.make({"x": Fraction(4, 2), "y": 0}, Fraction(-3)) == LinearForm((("x", 2),), -3)
-    for coeffs, constant in [({"x": Fraction(1, 2)}, 0), ({"x": 1}, Fraction(1, 3)), ({"x": "1/2"}, 0)]:
+    x, y = (Polynomial.var(VARS, v) for v in VARS)
+    assert Cone.make([Fraction(4, 2) * x + 0 * y - Fraction(3)]).constraints == {2 * x - 3}
+    rational = [Fraction(1, 2) * x, x + Fraction(1, 3), Polynomial.make(VARS, {(1, 0): "1/2"})]
+    for form in rational:
         with pytest.raises(ValueError, match="integer coefficients"):
-            LinearForm.make(coeffs, constant)
+            Cone.make([form])
+        with pytest.raises(ValueError, match="integer coefficients"):
+            QuasiPolynomial(2, form, (x, x))
+    for form in (x * y, x**2 - y + 1):
+        with pytest.raises(ValueError, match="degree at most 1, not 2"):
+            Cone.make([form])
+        with pytest.raises(ValueError, match="degree at most 1, not 2"):
+            QuasiPolynomial(2, form, (x, x))
     # JSON input goes through the same check, in selectors and in cone constraints
     for where in ("selector", "constraint"):
         d = piecewise_to_json(family_function("gl3"))
@@ -100,7 +109,8 @@ def test_linear_forms_are_integral():
 
 def test_cone_contains():
     """A table whose support and only piece are the cone is 0 outside it."""
-    cone = Cone.make([LinearForm.make({"x": 1, "y": -1}), LinearForm.make({"y": 1})])
+    x, y = (Polynomial.var(VARS, v) for v in VARS)
+    cone = Cone.make([x - y, y])
     f = PiecewiseFunction(VARS, cone, ((cone, QuasiPolynomial.plain(Polynomial.const(VARS, 1))),))
     assert f.evaluate({"x": 3, "y": 1}) == (1, 0)
     assert f.evaluate({"x": 1, "y": 1}) == (1, 0)  # closed
@@ -116,7 +126,7 @@ def test_permutation_group_closure():
 
 def test_quasi_polynomial_branches():
     x = Polynomial.var(("x",), "x")
-    f = _everywhere(QuasiPolynomial(2, LinearForm.make({"x": 1}), (x, x + 1)))
+    f = _everywhere(QuasiPolynomial(2, x, (x, x + 1)))
     assert f.evaluate({"x": 4}) == (4, 0)
     assert f.evaluate({"x": 5}) == (6, 0)
 
@@ -318,6 +328,17 @@ def _repeat_variable(d):
     d["variables"][1] = d["variables"][0]
 
 
+def _repeat_constant_monomial(d):
+    monomials = d["pieces"][0]["branches"][0]["monomials"]
+    monomials.append(dict(next(m for m in monomials if not any(m["exponents"]))))
+
+
+def _set_first_coefficient(**fields):
+    def corrupt(d):
+        d["pieces"][0]["branches"][0]["monomials"][0].update(fields)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_cut_exponents, r"exponents \[0, 0, 0, 0\] are not 5 nonnegative integers"),
     (_set_first_exponent(-1), r"exponents \[-1, 0, 0, 0, 0\] are not 5"),
@@ -326,11 +347,20 @@ def _repeat_variable(d):
     (_name_z, "a form names 'z'"),
     (_name_z_in_selector, "a form names 'z'"),
     (_repeat_variable, r"repeated variable in \['k1', 'k1', 'l1', 'l2', 'c'\]"),
-], ids=["short", "negative", "str", "float", "unknown", "unknown-selector", "repeated"])
+    (_repeat_constant_monomial, r"exponents \[0, 0, 0, 0, 0\] are listed twice"),
+    (_set_first_coefficient(numerator="1"), r"an int numerator and a nonzero int denominator, not '1'/1"),
+    (_set_first_coefficient(numerator=1.0), r"not 1.0/1"),
+    (_set_first_coefficient(denominator="2"), r"not 1/'2'"),
+    (_set_first_coefficient(denominator=2.0), r"not 1/2.0"),
+    (_set_first_coefficient(denominator=0), r"not 1/0"),
+], ids=["short", "negative", "str", "float", "unknown", "unknown-selector", "repeated",
+        "monomial-twice", "numerator-str", "numerator-float", "denominator-str",
+        "denominator-float", "denominator-zero"])
 def test_malformed_table_rejected_at_load(corrupt, message):
-    """A dump whose exponents or variable names do not fit its variables
-    fails when it is loaded, not later in evaluate (a wrong value, TypeError,
-    KeyError)."""
+    """A dump whose exponents, variable names or coefficients do not fit its
+    variables fails when it is loaded, not later in evaluate (a wrong value,
+    TypeError, KeyError) or in the loader itself (TypeError,
+    ZeroDivisionError), and a monomial listed twice is not read as once."""
     d = piecewise_to_json(family_function("gl3"))
     corrupt(d)
     with pytest.raises(ValueError, match=message):
@@ -338,6 +368,9 @@ def test_malformed_table_rejected_at_load(corrupt, message):
 
 
 def test_json_round_trip():
+    for family in ("gl3", "gl4nr2", "gl4nr-samples"):  # the samples have a mod-2 selector
+        d = piecewise_to_json(family_function(family))
+        assert piecewise_to_json(piecewise_from_json(d)) == d
     for family in ("gl3", "gl4nr2"):
         f = family_function(family)
         g = piecewise_from_json(piecewise_to_json(f))
@@ -496,13 +529,20 @@ def test_evaluated_table_pickles_without_compiled_form():
 
 
 def test_branch_over_other_variables_rejected():
-    """Compiled evaluation reads exponents by position, so a branch must be
-    over the table's variables in the table's order."""
+    """Compiled evaluation reads exponents by position, so a branch, and
+    every cone constraint and selector, must be over the table's variables
+    in the table's order."""
     everywhere = Cone.make([])
     x = Polynomial.var(("x", "y"), "x")
     for variables in (("y", "x"), ("x", "y", "z")):
         with pytest.raises(ValueError, match="a branch over"):
             PiecewiseFunction(variables, everywhere, ((everywhere, QuasiPolynomial.plain(x)),))
+        one = QuasiPolynomial.plain(Polynomial.const(variables, 1))
+        for support, piece in ((Cone.make([x]), (everywhere, one)),
+                               (everywhere, (Cone.make([x]), one)),
+                               (everywhere, (everywhere, QuasiPolynomial(1, x, one.branches)))):
+            with pytest.raises(ValueError, match="a form over"):
+                PiecewiseFunction(variables, support, (piece,))
 
 
 @pytest.mark.parametrize("family", ["gl3", "gl4nr2"])

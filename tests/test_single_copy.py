@@ -1,11 +1,13 @@
 """Shared checks and declarations are written once: the rank check lives in
 ``partitions.common_rank`` (the tableaux oracle keeps its own, being
-independent on purpose), the CLI declares ``--json`` in one place, and a
-piecewise table is evaluated only through its compiled form."""
+independent on purpose), the CLI declares ``--json`` in one place, a
+piecewise table is evaluated only through its compiled form, and its forms
+and polynomials share one algebra type."""
 
 from pathlib import Path
 
-from lrhive.piecewise import Cone, LinearForm, Polynomial, QuasiPolynomial
+from lrhive import piecewise
+from lrhive.piecewise import Cone, Polynomial, QuasiPolynomial, family_function
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lrhive"
 
@@ -23,8 +25,21 @@ def test_piecewise_table_parts_do_not_evaluate():
     """Only ``PiecewiseFunction._compiled`` evaluates a table; the classes
     that hold one keep no evaluator of their own."""
     x = Polynomial.var(("x",), "x")
-    form = LinearForm.make({"x": 1})
-    for part in (form, Cone.make([form]), x, QuasiPolynomial.plain(x)):
+    form = x - 1
+    for part in (form, Cone.make([form]), x, QuasiPolynomial.plain(x), QuasiPolynomial(2, form, (x, x))):
         assert not callable(part), part
         for name in ("value_at", "contains", "numerator_at", "branch"):
             assert not hasattr(part, name), (part, name)
+
+
+def test_piecewise_forms_are_polynomials():
+    """Cone constraints and selectors are degree-<=1 polynomials, not a
+    second algebra type."""
+    assert not hasattr(piecewise, "LinearForm")
+    for family in piecewise.FAMILIES:
+        f = family_function(family)
+        forms = [*f.support.constraints,
+                 *(form for cone, q in f.pieces for form in (*cone.constraints, q.selector))]
+        for form in forms:
+            assert type(form) is Polynomial, (family, form)
+            assert all(sum(e) <= 1 for e, _ in form.numerators), (family, form)
