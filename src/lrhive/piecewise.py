@@ -6,14 +6,17 @@ exact rational coefficients.  Includes the hard-coded 7-piece rank-3 table
 and the 36-piece rank-4 near-rectangular table, generated from 3 and 8 orbit
 representatives by one structure-checked builder (``_orbit_table``), three
 sample pieces of the rank-4 single-near-rectangular function, and the
-ground-truth enumeration they are validated against.  One algebra type,
+ground-truth enumeration they are validated against, read once per class
+of (lam, mu) under swapping the factors and dualizing both.  One algebra type,
 ``Polynomial``, holds the branches and, at degree <= 1 with integer
 coefficients, every cone constraint and selector, so a transcription reads
 as its printed inequality (``k1 + k2 - l1 - c``) and one ``permuted`` moves
 walls and branches alike.  The dataclasses hold a table for building, orbit
 expansion, deduplication by value and JSON; the only way to evaluate one is
-its compiled form, built on first use: variables become tuple positions, and
-each point gets one table of powers.
+its compiled form, built on first use: variables become tuple positions,
+each point's signs on the table's distinct cone forms pack into one mask
+that picks the containing pieces, and each point gets one table of the
+table's monomials, which every containing piece's branch reads.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Mapping
 
 from .coefficients import lr_coefficient
-from .partitions import Partition, enumerate_nu_candidates, padded
+from .partitions import Partition, dual_star, enumerate_nu_candidates, padded
 from .product import _lr_counts
 
 Rational = Fraction | int
@@ -216,10 +219,10 @@ class PieceAgreementError(AssertionError):
 
 # The compiled forms, over coordinate tuples in a table's variable order: a
 # linear form is (constant, ((variable index, coefficient), ...)), and a
-# polynomial is (denominator, ((numerator, ((variable index, exponent), ...)),
-# ...)), with zero exponents left out.
+# branch is (denominator, numerators, monomial slots): its value is the sum of
+# each numerator times its monomial, read from the point's monomial table.
 IndexedForm = tuple[int, tuple[tuple[int, int], ...]]
-IndexedPolynomial = tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
+IndexedBranch = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def _affine(form: Polynomial) -> IndexedForm:
@@ -235,6 +238,48 @@ def _inside(cone: tuple[IndexedForm, ...], coords: tuple[int, ...]) -> bool:
         if total < 0:
             return False
     return True
+
+
+def _sign_mask(forms: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...],
+               coords: tuple[int, ...]) -> int:
+    """The bits of the (bit, constant, terms) forms that are >= 0 at ``coords``."""
+    mask = 0
+    for bit, total, terms in forms:
+        for j, c in terms:
+            total += c * coords[j]
+        if total >= 0:
+            mask |= bit
+    return mask
+
+
+def _monomial_recipe(exponents: Iterable[tuple[int, ...]]) -> tuple[dict, tuple[tuple[int, int], ...]]:
+    """(slot of each exponent tuple, recipe) of a monomial table.
+
+    Slot 0 is the constant 1; recipe entry s - 1 is (parent slot, variable
+    index), and slot s is the parent's monomial times that variable.  Parents
+    are added where missing, and come before their children (slots go by
+    degree), so one pass over the recipe fills the table.
+    """
+    def parent(e):
+        j = next(j for j, k in enumerate(e) if k)
+        return e[:j] + (e[j] - 1,) + e[j + 1:], j
+
+    needed = set(exponents)
+    todo = list(needed)
+    while todo:  # close under parents
+        e = todo.pop()
+        if any(e):
+            up, _ = parent(e)
+            if up not in needed:
+                needed.add(up)
+                todo.append(up)
+    order = sorted(needed, key=lambda e: (sum(e), e))
+    slot = {e: s for s, e in enumerate(order)}
+    recipe = []
+    for e in order[1:]:
+        up, j = parent(e)
+        recipe.append((slot[up], j))
+    return slot, tuple(recipe)
 
 
 def _distinct(variables) -> tuple[str, ...]:
@@ -273,14 +318,19 @@ class PiecewiseFunction:
 
     @cached_property
     def _compiled(self):
-        """(coordinates, support, pieces, degree): the one evaluator of the
-        table, built on the first evaluation, so a table never evaluated
-        costs nothing.
+        """(coordinates, support, forms, cones, pieces, recipe, hits): the
+        one evaluator of the table, built on the first evaluation, so a table
+        never evaluated costs nothing.
 
         ``coordinates`` reads a point as a tuple in the order of
-        ``variables``; the support, and each piece as (cone, modulus,
-        selector, branches), refer to variables by position in that tuple;
-        ``degree`` is the highest exponent.
+        ``variables``, and the rest refer to variables by position in that
+        tuple.  ``forms`` holds each distinct cone form once, as (bit,
+        constant, terms), so a point's signs pack into one mask; each cone
+        is the mask of its forms' bits, and contains the point when the
+        point's mask covers it.  Each piece is (modulus, selector,
+        branches).  ``recipe`` builds a point's monomial table (see
+        ``_monomial_recipe``), which each branch reads by slot.  ``hits``
+        memoizes sign mask -> indices of the containing pieces, ascending.
         """
         if len(self.variables) > 1:
             coordinates = itemgetter(*self.variables)
@@ -290,55 +340,54 @@ class PiecewiseFunction:
                 return tuple(point[v] for v in self.variables)
 
         # pieces share forms and exponent tuples: compile each one once
-        form = lru_cache(maxsize=None)(_affine)
+        bits = {form: 1 << b for b, form in enumerate(
+            dict.fromkeys(form for cone, _ in self.pieces for form in cone.constraints))}
+        forms = tuple((bit, *_affine(form)) for form, bit in bits.items())
+        slot, recipe = _monomial_recipe(
+            e for _, q in self.pieces for b in q.branches for e, _ in b.numerators)
 
-        @lru_cache(maxsize=None)
-        def factors(e: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-            return tuple((j, k) for j, k in enumerate(e) if k)
+        def branch(p: Polynomial) -> IndexedBranch:
+            return (p.denominator, tuple(c for _, c in p.numerators),
+                    tuple(slot[e] for e, _ in p.numerators))
 
-        def poly(p: Polynomial) -> IndexedPolynomial:
-            return p.denominator, tuple((c, factors(e)) for e, c in p.numerators)
-
-        pieces = tuple((tuple(map(form, cone.constraints)), q.modulus, form(q.selector),
-                        tuple(map(poly, q.branches))) for cone, q in self.pieces)
-        degree = max((k for _, q in self.pieces for b in q.branches for e, _ in b.numerators
-                      for k in e), default=0)
-        return coordinates, tuple(map(form, self.support.constraints)), pieces, degree
+        cones = tuple(sum(bits[form] for form in cone.constraints) for cone, _ in self.pieces)
+        pieces = tuple((q.modulus, _affine(q.selector), tuple(map(branch, q.branches)))
+                       for _, q in self.pieces)
+        return (coordinates, tuple(map(_affine, self.support.constraints)), forms, cones, pieces,
+                recipe, {})
 
     def _containing(self, coords: tuple[int, ...]) -> list[tuple[int, int, int]]:
         """(index, numerator, denominator) of every piece whose cone contains
         ``coords``; the piece's value there is numerator / denominator."""
-        _, _, pieces, degree = self._compiled
-        powers = None
-        hits = []
-        for i, (cone, modulus, selector, branches) in enumerate(pieces):
-            if not _inside(cone, coords):
-                continue
-            if powers is None:  # v**0 .. v**degree of each coordinate
-                powers = []
-                for v in coords:
-                    row = [1]
-                    for _ in range(degree):
-                        row.append(row[-1] * v)
-                    powers.append(row)
-            total, terms = selector  # any selector value is 0 mod 1
-            for j, c in terms:
-                total += c * coords[j]
-            den, monomials = branches[total % modulus]
-            total = 0
-            for num, factors in monomials:
-                for j, k in factors:
-                    num *= powers[j][k]
-                total += num
-            hits.append((i, total, den))
-        return hits
+        _, _, forms, cones, pieces, recipe, memo = self._compiled
+        mask = _sign_mask(forms, coords)
+        hits = memo.get(mask)
+        if hits is None:
+            hits = memo[mask] = tuple(i for i, cone in enumerate(cones) if mask & cone == cone)
+        if not hits:
+            return []
+        monomials = [1]
+        for parent, j in recipe:
+            monomials.append(monomials[parent] * coords[j])
+        take = monomials.__getitem__
+        out = []
+        for i in hits:
+            modulus, (total, terms), branches = pieces[i]
+            if modulus > 1:
+                for j, c in terms:
+                    total += c * coords[j]
+                den, nums, slots = branches[total % modulus]
+            else:  # any selector value is 0 mod 1
+                den, nums, slots = branches[0]
+            out.append((i, sum(map(mul, nums, map(take, slots))), den))
+        return out
 
     def evaluate(self, point: Mapping[str, int]) -> tuple[int, int | None]:
         """Value and lowest containing piece index; (0, None) outside support.
 
         Every containing piece is evaluated and agreement is asserted, always.
         """
-        coordinates, support, _, _ = self._compiled
+        coordinates, support = self._compiled[:2]
         coords = coordinates(point)
         if not _inside(support, coords):
             return 0, None
@@ -382,6 +431,7 @@ def point_of(variables, values) -> dict[str, int]:
 
 def orbit_expand(representatives: Iterable[Piece], group: Iterable[Mapping[str, str]]) -> list[Piece]:
     """Closure of the pieces under variable permutations, deduplicated."""
+    group = list(group)  # read once per representative, so a one-shot iterator works too
     return list(dict.fromkeys((cone.permuted(perm), q.permuted(perm))
                               for cone, q in representatives for perm in group))
 
@@ -673,14 +723,31 @@ def enum_value(family: str, point: Mapping[str, int]) -> int:
     return count_above_enum(lam, mu, point.get("c", 0))
 
 
+def _symmetry_class(lam: Partition, mu: Partition) -> tuple:
+    """The least of (lam, mu), (mu, lam), (lam*, mu*) and (mu*, lam*), as
+    parts, with * the dual of ``dual_star``: pairs with one key have one
+    histogram, since c^nu_{lam,mu} = c^nu_{mu,lam} = c^{nu*}_{lam*,mu*} at
+    any rank.
+
+    lam -> lam* alone is not one of these identities: at rank 3 and for the
+    rank-4 near-rectangular pairs it is lam -> lam-dagger, the conjecture the
+    tables are checked against.
+    """
+    lam_star, mu_star = dual_star(lam).parts, dual_star(mu).parts
+    return min((lam.parts, mu.parts), (mu.parts, lam.parts),
+               (lam_star, mu_star), (mu_star, lam_star))
+
+
 def verify_family(family: str, bound: int):
     """Scan all integer points with coordinates in [0, bound]; return the first
     (point, table value, enumeration value) mismatch, or None.
 
     For the full tables the threshold c is the last variable, so the scan
-    enumerates each (lam, mu) once and reads every threshold from its
-    histogram, in the same point order as a per-point scan.  A table without
-    c (the samples) checks every containing piece at every point.
+    enumerates one histogram per ``_symmetry_class`` of (lam, mu), the first
+    time the class comes up, and reads every threshold from it, in the same
+    point order as a per-point scan; every point is still evaluated.  A
+    table without c (the samples) checks every containing piece at every
+    point.
     """
     if bound < 0:
         raise ValueError("verify range must be nonnegative")
@@ -694,14 +761,20 @@ def verify_family(family: str, bound: int):
                 if value != truth:
                     return point, value, truth
         return None
-    for coords in product(range(bound + 1), repeat=len(f.variables) - 1):
-        histogram = multiplicity_multiset(*_family_pair(family, point_of(f.variables, coords)))
-        for c in range(bound + 1):
+    thresholds = range(bound + 1)
+    truths: dict[tuple, list[int]] = {}  # class -> #{nu : coefficient > c} for each c
+    for coords in product(thresholds, repeat=len(f.variables) - 1):
+        lam, mu = _family_pair(family, point_of(f.variables, coords))
+        key = _symmetry_class(lam, mu)
+        truth = truths.get(key)
+        if truth is None:
+            histogram = multiplicity_multiset(lam, mu)
+            truth = truths[key] = [histogram.count_above(c) for c in thresholds]
+        for c in thresholds:
             point = point_of(f.variables, coords + (c,))
             value, _ = f.evaluate(point)
-            truth = histogram.count_above(c)
-            if value != truth:
-                return point, value, truth
+            if value != truth[c]:
+                return point, value, truth[c]
     return None
 
 
@@ -778,16 +851,25 @@ def piecewise_to_json(f: PiecewiseFunction) -> dict:
 
 
 def piecewise_from_json(d: dict) -> PiecewiseFunction:
-    variables = _distinct(d["variables"])  # before any form is read against them
-    pieces = tuple(
-        (
-            _cone_from_json(p["cone"], variables),
-            QuasiPolynomial(
-                p["modulus"],
-                _form_from_json(p["selector"], variables),
-                tuple(_poly_from_json(b, variables) for b in p["branches"]),
-            ),
+    """The table a ``piecewise_to_json`` dump describes.
+
+    Raises ValueError on any dump that does not describe a table, whether
+    its values are wrong or its structure (a missing key, a number where a
+    list or object belongs).
+    """
+    try:
+        variables = _distinct(d["variables"])  # before any form is read against them
+        pieces = tuple(
+            (
+                _cone_from_json(p["cone"], variables),
+                QuasiPolynomial(
+                    p["modulus"],
+                    _form_from_json(p["selector"], variables),
+                    tuple(_poly_from_json(b, variables) for b in p["branches"]),
+                ),
+            )
+            for p in d["pieces"]
         )
-        for p in d["pieces"]
-    )
-    return PiecewiseFunction(variables, _cone_from_json(d["support"], variables), pieces)
+        return PiecewiseFunction(variables, _cone_from_json(d["support"], variables), pieces)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed piecewise table: {type(exc).__name__}: {exc}") from None

@@ -3,7 +3,6 @@
 import hashlib
 import pickle
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -226,6 +225,16 @@ def test_orbit_expand_dedup():
     assert len(expanded) == 1
 
 
+def test_orbit_expand_reads_a_one_shot_group():
+    """The group is read once per representative; an iterator must expand
+    every representative, not only the first."""
+    f = gl4nr2_count_function()
+    group = permutation_group([S1, S2], f.variables)
+    representatives = [f.pieces[0], f.pieces[2]]
+    assert len(orbit_expand(representatives, group)) == 6
+    assert orbit_expand(representatives, iter(group)) == orbit_expand(representatives, group)
+
+
 def test_count_above_enum():
     lam, mu = Partition((5, 3, 0)), Partition((6, 3, 0))
     assert count_above_enum(lam, mu, 0) == 21
@@ -367,6 +376,29 @@ def test_malformed_table_rejected_at_load(corrupt, message):
         piecewise_from_json(d)
 
 
+def _drop_selector(d):
+    del d["pieces"][0]["selector"]
+
+
+def _monomials_not_a_list(d):
+    d["pieces"][0]["branches"][0]["monomials"] = 5
+
+
+def _support_a_list(d):
+    d["support"] = []
+
+
+@pytest.mark.parametrize("corrupt", [_drop_selector, _monomials_not_a_list, _support_a_list],
+                         ids=["no-selector", "monomials-int", "support-list"])
+def test_malformed_structure_rejected_at_load(corrupt):
+    """A dump whose structure is wrong, not only its values, fails with one
+    ValueError, not the KeyError or TypeError of the part that trips on it."""
+    d = piecewise_to_json(family_function("gl3"))
+    corrupt(d)
+    with pytest.raises(ValueError, match="^malformed piecewise table: "):
+        piecewise_from_json(d)
+
+
 def test_json_round_trip():
     for family in ("gl3", "gl4nr2", "gl4nr-samples"):  # the samples have a mod-2 selector
         d = piecewise_to_json(family_function(family))
@@ -392,9 +424,14 @@ def _outcome(call):
 # evaluation against a plain Fraction reference, read from the JSON dump
 
 
-@lru_cache(maxsize=None)
+_REF_TABLES = {}  # id(table) -> (table, reference form)
+
+
 def _ref_table(f):
-    """The JSON form of ``f`` with every rational parsed to a Fraction."""
+    """The JSON form of ``f`` with every rational parsed to a Fraction,
+    cached by identity: hashing a table hashes every piece."""
+    if id(f) in _REF_TABLES and _REF_TABLES[id(f)][0] is f:
+        return _REF_TABLES[id(f)][1]
     d = piecewise_to_json(f)
 
     def form(j):
@@ -408,7 +445,8 @@ def _ref_table(f):
 
     pieces = [(cone(p["cone"]), p["modulus"], form(p["selector"]), [poly(b) for b in p["branches"]])
               for p in d["pieces"]]
-    return d["variables"], cone(d["support"]), pieces
+    _REF_TABLES[id(f)] = f, (d["variables"], cone(d["support"]), pieces)
+    return _REF_TABLES[id(f)][1]
 
 
 def _ref_form(form, point):
@@ -444,21 +482,20 @@ def _ref_hits(f, point):
             for i, piece in enumerate(pieces) if _ref_contains(piece[0], point)]
 
 
-def _ref_values(f, point):
-    """``f.values(point)`` in Fraction arithmetic."""
+def _ref_values(hits, point):
+    """``f.values(point)`` in Fraction arithmetic, from ``_ref_hits(f, point)``."""
     out = []
-    for i, _, value in _ref_hits(f, point):
+    for i, _, value in hits:
         if value.denominator != 1:
             raise PieceAgreementError(f"non-integral value {value} at {point}")
         out.append((i, value.numerator))
     return out
 
 
-def _ref_evaluate(f, point):
-    """``f.evaluate(point)`` in Fraction arithmetic."""
+def _ref_evaluate(f, point, hits):
+    """``f.evaluate(point)`` in Fraction arithmetic, from ``_ref_hits(f, point)``."""
     if not _ref_contains(_ref_table(f)[1], point):
         return 0, None
-    hits = _ref_hits(f, point)
     if not hits:
         raise PieceAgreementError(f"no piece covers in-support point {point}")
     exact = {value for _, _, value in hits}
@@ -471,24 +508,26 @@ def _ref_evaluate(f, point):
 
 
 def _assert_matches_reference(f, point):
-    assert _outcome(lambda: f.evaluate(point)) == _outcome(lambda: _ref_evaluate(f, point)), point
-    assert _outcome(lambda: f.values(point)) == _outcome(lambda: _ref_values(f, point)), point
+    """Check ``evaluate`` and ``values`` at ``point``; return the reference hits."""
+    hits = _ref_hits(f, point)
+    assert _outcome(lambda: f.evaluate(point)) == _outcome(lambda: _ref_evaluate(f, point, hits)), point
+    assert _outcome(lambda: f.values(point)) == _outcome(lambda: _ref_values(hits, point)), point
+    return hits
 
 
-@pytest.mark.parametrize("table, values", [
-    ("gl3", (-1, 0, 1, 3)),
-    ("gl4nr2", (-1, 0, 2)),
-    ("gl4nr-samples", (-1, 0, 1, 2)),  # includes the mod-2 quasi-polynomial piece
-])
-def test_integer_evaluation_matches_fraction_reference(table, values):
-    f = family_function(table)
+@pytest.mark.parametrize("family", sorted(piecewise.FAMILIES))
+def test_every_small_point_matches_fraction_reference(family):
+    """The compiled kernel (sign masks, the hits memo, monomial slots) against
+    the Fraction reference at every point of [-1, 4]^5: values, piece
+    indices, and each PieceAgreementError message.  The points reach every
+    branch of every piece, the samples' mod-2 piece included."""
+    f = family_function(family)
     branches_hit = set()
-    for coords in product(values, repeat=len(f.variables)):
+    for coords in product(range(-1, 5), repeat=len(f.variables)):
         point = point_of(f.variables, coords)
-        _assert_matches_reference(f, point)
-        branches_hit.update((i, branch) for i, branch, _ in _ref_hits(f, point))
-    assert all((i, b) in branches_hit for i, (_, q) in enumerate(f.pieces)
-               for b in range(q.modulus))
+        hits = _assert_matches_reference(f, point)
+        branches_hit.update((i, branch) for i, branch, _ in hits)
+    assert branches_hit == {(i, b) for i, (_, q) in enumerate(f.pieces) for b in range(q.modulus)}
 
 
 @pytest.mark.parametrize("family", sorted(piecewise.FAMILIES))
@@ -565,6 +604,39 @@ def test_verify_family_first_mismatch_matches_per_point_scan(family, monkeypatch
     got = verify_family(family, 2)
     assert got == expected
     assert list(got[0]) == list(V)  # printed in the table's variable order
+
+
+# (family, bound) -> histograms verify_family enumerates: one per class of
+# (lam, mu) under lam <-> mu and (lam, mu) -> (lam*, mu*), of 6^4 and 4^4 pairs
+CLASS_COUNTS = {("gl3", 5): 351, ("gl4nr2", 3): 76}
+
+
+@pytest.mark.parametrize("family, bound", sorted(CLASS_COUNTS))
+def test_pairs_of_one_class_share_a_histogram(family, bound):
+    """Every (lam, mu) of the scan has the histogram of its class."""
+    f = family_function(family)
+    shared = {}
+    for coords in product(range(bound + 1), repeat=len(f.variables) - 1):
+        lam, mu = piecewise._family_pair(family, point_of(f.variables, coords))
+        own = multiplicity_multiset(lam, mu)
+        assert shared.setdefault(piecewise._symmetry_class(lam, mu), own) == own, (lam, mu)
+    assert len(shared) == CLASS_COUNTS[family, bound]
+
+
+@pytest.mark.parametrize("family, bound", sorted(CLASS_COUNTS))
+def test_verify_family_enumerates_once_per_class(family, bound, monkeypatch):
+    """verify_family enumerates exactly one histogram per class.  A key that
+    also merged lam with lam-dagger alone, the conjecture the tables check,
+    would enumerate fewer."""
+    calls = []
+
+    def counted(lam, mu, method=None):
+        calls.append((lam, mu))
+        return multiplicity_multiset(lam, mu, method)
+
+    monkeypatch.setattr(piecewise, "multiplicity_multiset", counted)
+    assert verify_family(family, bound) is None
+    assert len(calls) == len(set(calls)) == CLASS_COUNTS[family, bound]
 
 
 # sha256 of `lrhive piecewise --family F --dump`, fixed when the tables moved
