@@ -430,8 +430,9 @@ _REF_TABLES = {}  # id(table) -> (table, reference form)
 def _ref_table(f):
     """The JSON form of ``f`` with every rational parsed to a Fraction,
     cached by identity: hashing a table hashes every piece."""
-    if id(f) in _REF_TABLES and _REF_TABLES[id(f)][0] is f:
-        return _REF_TABLES[id(f)][1]
+    cached = _REF_TABLES.get(id(f))
+    if cached and cached[0] is f:
+        return cached[1]
     d = piecewise_to_json(f)
 
     def form(j):
@@ -445,8 +446,9 @@ def _ref_table(f):
 
     pieces = [(cone(p["cone"]), p["modulus"], form(p["selector"]), [poly(b) for b in p["branches"]])
               for p in d["pieces"]]
-    _REF_TABLES[id(f)] = f, (d["variables"], cone(d["support"]), pieces)
-    return _REF_TABLES[id(f)][1]
+    table = d["variables"], cone(d["support"]), pieces
+    _REF_TABLES[id(f)] = f, table
+    return table
 
 
 def _ref_form(form, point):
