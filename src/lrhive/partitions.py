@@ -76,13 +76,18 @@ def common_rank(*parts: Partition) -> int:
     return n
 
 
+def dual_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The dual (p1 - p_n, ..., p1 - p_2, 0) of a partition's parts."""
+    top = parts[0]
+    return tuple(top - p for p in reversed(parts))
+
+
 def dual_star(lam: Partition) -> Partition:
     """The dual partition (lam1 - lam_n, ..., lam1 - lam_2, 0).
 
     Parametrizes the dual representation up to a determinant power.
     """
-    top = lam[0]
-    return Partition(tuple(top - lam[lam.n - 1 - i] for i in range(lam.n)))
+    return Partition(dual_parts(lam.parts))
 
 
 def bar_reduce(lam: Partition) -> Partition:
@@ -97,16 +102,22 @@ def is_near_rectangular(lam: Partition) -> bool:
     return all(p == middle[0] for p in middle) if middle else True
 
 
-def padded(head: tuple[int, ...], middle: int, tail: tuple[int, ...], n: int) -> Partition:
-    """The rank-n partition head, middle^{n - len(head) - len(tail)}, tail.
+def padded_parts(head: tuple[int, ...], middle: int, tail: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The n parts head, middle^{n - len(head) - len(tail)}, tail.
 
-    The one padding rule for near-rectangular data: lam = padded((lam1,), lam2,
-    (0,), n) and the pinched nu = padded((nu1, nu2), lam2 + mu2, (nu3, nu4), n).
+    The one padding rule for near-rectangular data: lam has head (lam1,),
+    middle lam2 and tail (0,); the pinched nu has head (nu1, nu2), middle
+    lam2 + mu2 and tail (nu3, nu4).
     """
     fill = n - len(head) - len(tail)
     if fill < 0:
         raise ValueError(f"{len(head)} + {len(tail)} fixed parts exceed rank {n}")
-    return Partition(head + (middle,) * fill + tail)
+    return head + (middle,) * fill + tail
+
+
+def padded(head: tuple[int, ...], middle: int, tail: tuple[int, ...], n: int) -> Partition:
+    """The rank-n partition with the parts of ``padded_parts``."""
+    return Partition(padded_parts(head, middle, tail, n))
 
 
 def partitions_of(total: int, max_parts: int, max_first: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -31,7 +31,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Mapping
 
 from .coefficients import lr_coefficient
-from .partitions import Partition, dual_star, enumerate_nu_candidates, padded
+from .partitions import Partition, dual_parts, enumerate_nu_candidates, padded_parts
 from .product import _lr_counts
 
 Rational = Fraction | int
@@ -687,11 +687,20 @@ def gl4nr_samples_function() -> PiecewiseFunction:
 # ---------------------------------------------------------------------------
 # ground-truth comparison helpers
 
-# each family's table builder and rank, in the order the CLI lists them
+def _nr(n: int, a: int, b: int) -> tuple[int, ...]:
+    """The parts (a + b, b^{n-2}, 0) of the rank-n near-rectangular partition
+    with fundamental-weight coordinates (a, b)."""
+    return padded_parts((a + b,), b, (0,), n)
+
+
+# each family's table builder and the map from a point's coordinates, in the
+# table's variable order (c, if there, is not read), to the parts of the
+# (lam, mu) it stands for; in the order the CLI lists them
 FAMILIES = {
-    "gl3": (gl3_count_function, 3),
-    "gl4nr2": (gl4nr2_count_function, 4),
-    "gl4nr-samples": (gl4nr_samples_function, 4),
+    "gl3": (gl3_count_function, lambda x: (_nr(3, x[0], x[1]), _nr(3, x[2], x[3]))),
+    "gl4nr2": (gl4nr2_count_function, lambda x: (_nr(4, x[0], x[1]), _nr(4, x[2], x[3]))),
+    # the samples' mu is any (m1, m2, m3, 0)
+    "gl4nr-samples": (gl4nr_samples_function, lambda x: (_nr(4, x[0], x[1]), (*x[2:5], 0))),
 }
 
 
@@ -707,25 +716,17 @@ def family_function(family: str) -> PiecewiseFunction:
     return _family(family)[0]()
 
 
-def _family_pair(family: str, point: Mapping[str, int]) -> tuple[Partition, Partition]:
-    """The (lam, mu) that a point of the family's table stands for."""
-    n = _family(family)[1]
-    lam = padded((point["k1"] + point["k2"],), point["k2"], (0,), n)
-    if "m1" in point:  # the samples' mu is any (m1, m2, m3, 0)
-        return lam, Partition((point["m1"], point["m2"], point["m3"], 0))
-    return lam, padded((point["l1"] + point["l2"],), point["l2"], (0,), n)
-
-
 def enum_value(family: str, point: Mapping[str, int]) -> int:
     """Enumeration ground truth for one table point; the threshold is 0 in a
     table without a c variable."""
-    lam, mu = _family_pair(family, point)
-    return count_above_enum(lam, mu, point.get("c", 0))
+    pair = _family(family)[1]
+    lam, mu = pair(tuple(point[v] for v in family_function(family).variables))
+    return count_above_enum(Partition(lam), Partition(mu), point.get("c", 0))
 
 
-def _symmetry_class(lam: Partition, mu: Partition) -> tuple:
-    """The least of (lam, mu), (mu, lam), (lam*, mu*) and (mu*, lam*), as
-    parts, with * the dual of ``dual_star``: pairs with one key have one
+def _symmetry_class(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
+    """The least of (lam, mu), (mu, lam), (lam*, mu*) and (mu*, lam*), on
+    parts, with * the dual of ``dual_parts``: pairs with one key have one
     histogram, since c^nu_{lam,mu} = c^nu_{mu,lam} = c^{nu*}_{lam*,mu*} at
     any rank.
 
@@ -733,48 +734,43 @@ def _symmetry_class(lam: Partition, mu: Partition) -> tuple:
     rank-4 near-rectangular pairs it is lam -> lam-dagger, the conjecture the
     tables are checked against.
     """
-    lam_star, mu_star = dual_star(lam).parts, dual_star(mu).parts
-    return min((lam.parts, mu.parts), (mu.parts, lam.parts),
-               (lam_star, mu_star), (mu_star, lam_star))
+    lam_star, mu_star = dual_parts(lam), dual_parts(mu)
+    return min((lam, mu), (mu, lam), (lam_star, mu_star), (mu_star, lam_star))
 
 
 def verify_family(family: str, bound: int):
     """Scan all integer points with coordinates in [0, bound]; return the first
     (point, table value, enumeration value) mismatch, or None.
 
-    For the full tables the threshold c is the last variable, so the scan
-    enumerates one histogram per ``_symmetry_class`` of (lam, mu), the first
-    time the class comes up, and reads every threshold from it, in the same
-    point order as a per-point scan; every point is still evaluated.  A
-    table without c (the samples) checks every containing piece at every
-    point.
+    A full table's last variable is the threshold c, and it is read through
+    ``evaluate`` at every point; the samples have no c (their threshold is 0)
+    and cover part of their support, so every containing piece is checked.
+    The scan enumerates one histogram per ``_symmetry_class`` of (lam, mu),
+    the first time a value of the class is checked, and reads every
+    threshold from it, in the same point order as a per-point scan.
     """
     if bound < 0:
         raise ValueError("verify range must be nonnegative")
+    pair = _family(family)[1]
     f = family_function(family)
-    if "c" not in f.variables:
-        for coords in product(range(bound + 1), repeat=len(f.variables)):
-            point = point_of(f.variables, coords)
-            hits = f.values(point)
-            truth = enum_value(family, point) if hits else None
-            for _, value in hits:
-                if value != truth:
-                    return point, value, truth
-        return None
-    thresholds = range(bound + 1)
+    full = "c" in f.variables  # as an int: 1 when each prefix leaves out c, the last variable
+    thresholds = range(bound + 1) if full else (0,)
     truths: dict[tuple, list[int]] = {}  # class -> #{nu : coefficient > c} for each c
-    for coords in product(thresholds, repeat=len(f.variables) - 1):
-        lam, mu = _family_pair(family, point_of(f.variables, coords))
-        key = _symmetry_class(lam, mu)
-        truth = truths.get(key)
-        if truth is None:
-            histogram = multiplicity_multiset(lam, mu)
-            truth = truths[key] = [histogram.count_above(c) for c in thresholds]
+    for coords in product(range(bound + 1), repeat=len(f.variables) - full):
+        truth = None
         for c in thresholds:
-            point = point_of(f.variables, coords + (c,))
-            value, _ = f.evaluate(point)
-            if value != truth[c]:
-                return point, value, truth[c]
+            point = point_of(f.variables, coords + (c,) * full)
+            values = [f.evaluate(point)[0]] if full else [v for _, v in f.values(point)]
+            if values and truth is None:
+                lam, mu = pair(coords)
+                key = _symmetry_class(lam, mu)
+                if key not in truths:
+                    histogram = multiplicity_multiset(Partition(lam), Partition(mu))
+                    truths[key] = [histogram.count_above(t) for t in thresholds]
+                truth = truths[key]
+            for value in values:
+                if value != truth[c]:
+                    return point, value, truth[c]
     return None
 
 

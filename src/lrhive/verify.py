@@ -96,16 +96,6 @@ def compare(check: str, lam: Partition, mu: Partition, *,
     return Verdict(FAIL, check, lam, mu, left, right, witness=witness(left, right))
 
 
-def check_conjecture1(lam: Partition, mu: Partition, *, require_near_rectangular: bool = True) -> Verdict:
-    """Multiset equality of positive coefficient histograms for lam vs lam-dagger."""
-    return compare("conj1", lam, mu, require_near_rectangular=require_near_rectangular)
-
-
-def check_conjecture2(lam: Partition, mu: Partition, *, require_near_rectangular: bool = True) -> Verdict:
-    """Equality of the number of distinct isotypic components only."""
-    return compare("conj2", lam, mu, require_near_rectangular=require_near_rectangular)
-
-
 def cz_sum_check(lam: Partition, mu: Partition) -> Verdict:
     """Sum-of-multiplicities identity; holds with no hypothesis on lam."""
     return compare("cz_sum", lam, mu)

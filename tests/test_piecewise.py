@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lrhive import piecewise
 from lrhive.cli import main
-from lrhive.partitions import Partition
+from lrhive.partitions import Partition, dual_star, padded
 from lrhive.piecewise import (
     GL4NR_VARIABLES,
     S1,
@@ -586,22 +586,30 @@ def test_branch_over_other_variables_rejected():
                 PiecewiseFunction(variables, support, (piece,))
 
 
-@pytest.mark.parametrize("family", ["gl3", "gl4nr2"])
+@pytest.mark.parametrize("family", ["gl3", "gl4nr2", "gl4nr-samples"])
 def test_verify_family_first_mismatch_matches_per_point_scan(family, monkeypatch):
+    """verify_family returns the first mismatch of a per-point scan, which
+    reads a full table through evaluate and the samples through values."""
     f = family_function(family)
     V = f.variables
-    k1, l2, c = (Polynomial.var(V, v) for v in ("k1", "l2", "c"))
-    bump = k1 * l2 * c  # zero on most of the range, so the mismatch is not the first point
-    broken = PiecewiseFunction(V, f.support, tuple(
-        (cone, QuasiPolynomial.plain(q.branches[0] + bump)) for cone, q in f.pieces))
-    expected = None
-    for coords in product(range(3), repeat=len(V)):
-        point = point_of(V, coords)
-        value, truth = broken.evaluate(point)[0], enum_value(family, point)
-        if value != truth:
-            expected = (point, value, truth)
-            break
-    assert expected is not None and expected[0]["c"] > 0
+    if "c" in V:
+        k1, l2, c = (Polynomial.var(V, v) for v in ("k1", "l2", "c"))
+        bump = k1 * l2 * c  # zero on most of the range, so the mismatch is not the first point
+        broken = PiecewiseFunction(V, f.support, tuple(
+            (cone, QuasiPolynomial.plain(q.branches[0] + bump)) for cone, q in f.pieces))
+        read = lambda point: [broken.evaluate(point)[0]]
+        first = lambda point: point["c"] > 0
+    else:  # break the last piece, so the mismatch is read after two agreeing pieces
+        k1, m2 = (Polynomial.var(V, v) for v in ("k1", "m2"))
+        cone, q = f.pieces[2]
+        broken = PiecewiseFunction(V, f.support, (*f.pieces[:2], (cone, QuasiPolynomial.plain(
+            q.branches[0] + k1 * m2))))
+        read = lambda point: [value for _, value in broken.values(point)]
+        first = lambda point: list(point.values()) == [1, 1, 1, 1, 0] and len(read(point)) == 3
+    points = (point_of(V, coords) for coords in product(range(3), repeat=len(V)))
+    checked = ((point, value, enum_value(family, point)) for point in points for value in read(point))
+    expected = next(m for m in checked if m[1] != m[2])
+    assert first(expected[0])
     monkeypatch.setattr(piecewise, "family_function", lambda _: broken)
     got = verify_family(family, 2)
     assert got == expected
@@ -611,34 +619,70 @@ def test_verify_family_first_mismatch_matches_per_point_scan(family, monkeypatch
 # (family, bound) -> histograms verify_family enumerates: one per class of
 # (lam, mu) under lam <-> mu and (lam, mu) -> (lam*, mu*), of 6^4 and 4^4 pairs
 CLASS_COUNTS = {("gl3", 5): 351, ("gl4nr2", 3): 76}
+# the samples enumerate only where a piece contains the point: 48 pairs, one per class
+HISTOGRAM_COUNTS = {**CLASS_COUNTS, ("gl4nr-samples", 3): 48}
+
+
+def _built_pair(family, point):
+    """(lam, mu) as Partitions, built with ``padded`` from the point's names."""
+    n = 3 if family == "gl3" else 4
+    lam = padded((point["k1"] + point["k2"],), point["k2"], (0,), n)
+    if family == "gl4nr-samples":
+        return lam, Partition((point["m1"], point["m2"], point["m3"], 0))
+    return lam, padded((point["l1"] + point["l2"],), point["l2"], (0,), n)
+
+
+@pytest.mark.parametrize("family, bound", sorted(HISTOGRAM_COUNTS))
+def test_family_parts_match_partitions(family, bound):
+    """At every prefix the scan reads (all coordinates but c), each family's
+    map gives the parts of the pair ``padded`` and ``Partition`` build, and
+    the class key on parts is the key built from ``dual_star``."""
+    f = family_function(family)
+    pair = piecewise.FAMILIES[family][1]
+    for coords in product(range(bound + 1), repeat=len(f.variables) - ("c" in f.variables)):
+        point = point_of(f.variables, coords)
+        if family == "gl4nr-samples" and not point["m1"] >= point["m2"] >= point["m3"]:
+            continue  # outside every sample piece: mu is no partition, and the scan reads no pair
+        lam, mu = _built_pair(family, point)
+        assert pair(coords) == (lam.parts, mu.parts), point
+        lam_star, mu_star = dual_star(lam).parts, dual_star(mu).parts
+        assert piecewise._symmetry_class(lam.parts, mu.parts) == min(
+            (lam.parts, mu.parts), (mu.parts, lam.parts), (lam_star, mu_star), (mu_star, lam_star))
 
 
 @pytest.mark.parametrize("family, bound", sorted(CLASS_COUNTS))
 def test_pairs_of_one_class_share_a_histogram(family, bound):
     """Every (lam, mu) of the scan has the histogram of its class."""
     f = family_function(family)
+    pair = piecewise.FAMILIES[family][1]
     shared = {}
     for coords in product(range(bound + 1), repeat=len(f.variables) - 1):
-        lam, mu = piecewise._family_pair(family, point_of(f.variables, coords))
-        own = multiplicity_multiset(lam, mu)
+        lam, mu = pair(coords)
+        own = multiplicity_multiset(Partition(lam), Partition(mu))
         assert shared.setdefault(piecewise._symmetry_class(lam, mu), own) == own, (lam, mu)
     assert len(shared) == CLASS_COUNTS[family, bound]
 
 
-@pytest.mark.parametrize("family, bound", sorted(CLASS_COUNTS))
+@pytest.mark.parametrize("family, bound", sorted(HISTOGRAM_COUNTS))
 def test_verify_family_enumerates_once_per_class(family, bound, monkeypatch):
     """verify_family enumerates exactly one histogram per class.  A key that
     also merged lam with lam-dagger alone, the conjecture the tables check,
-    would enumerate fewer."""
+    would enumerate fewer.  The scan reads parts: the only Partitions it
+    builds are the two each histogram takes."""
     calls = []
 
     def counted(lam, mu, method=None):
         calls.append((lam, mu))
         return multiplicity_multiset(lam, mu, method)
 
+    built = []
+    check = Partition.__post_init__
+    family_function(family)  # build the table outside the count
     monkeypatch.setattr(piecewise, "multiplicity_multiset", counted)
+    monkeypatch.setattr(Partition, "__post_init__", lambda p: built.append(p) or check(p))
     assert verify_family(family, bound) is None
-    assert len(calls) == len(set(calls)) == CLASS_COUNTS[family, bound]
+    assert len(calls) == len(set(calls)) == HISTOGRAM_COUNTS[family, bound]
+    assert len(built) == 2 * len(calls)  # 702 for gl3 @ 5, 152 for gl4nr2 @ 3
 
 
 # sha256 of `lrhive piecewise --family F --dump`, fixed when the tables moved

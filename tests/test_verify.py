@@ -16,8 +16,7 @@ from lrhive.verify import (
     SKIP,
     SweepConfig,
     Verdict,
-    check_conjecture1,
-    check_conjecture2,
+    compare,
     cz_sum_check,
     lambda_dagger,
     reproduce_gl5_counterexample,
@@ -38,27 +37,27 @@ def test_verdict_requires_witness_on_fail():
 
 
 def test_conjecture1_worked_example():
-    v = check_conjecture1(Partition((5, 3, 0)), Partition((6, 3, 0)))
+    v = compare("conj1", Partition((5, 3, 0)), Partition((6, 3, 0)))
     assert v.status == PASS
     assert v.left.as_dict() == {1: 11, 2: 7, 3: 3} == v.right.as_dict()
 
 
 def test_conjecture1_trivial_and_rank4():
-    v = check_conjecture1(Partition((0, 0, 0)), Partition((4, 2, 0)))
+    v = compare("conj1", Partition((0, 0, 0)), Partition((4, 2, 0)))
     assert v.status == PASS and v.left.as_dict() == {1: 1}
-    assert check_conjecture1(Partition((4, 2, 2, 0)), Partition((3, 1, 0, 0))).status == PASS
+    assert compare("conj1", Partition((4, 2, 2, 0)), Partition((3, 1, 0, 0))).status == PASS
 
 
 def test_conjecture1_skips_non_near_rectangular():
-    v = check_conjecture1(Partition((3, 3, 2, 0, 0)), Partition((1, 0, 0, 0, 0)))
+    v = compare("conj1", Partition((3, 3, 2, 0, 0)), Partition((1, 0, 0, 0, 0)))
     assert v.status == SKIP and "near-rectangular" in v.witness
 
 
 def test_conjecture2():
-    assert check_conjecture2(Partition((4, 2, 2, 0)), Partition((2, 1, 1, 0))).status == PASS
-    v = check_conjecture2(Partition((5, 3, 3, 0)), Partition((2, 1, 1, 0)))
+    assert compare("conj2", Partition((4, 2, 2, 0)), Partition((2, 1, 1, 0))).status == PASS
+    v = compare("conj2", Partition((5, 3, 3, 0)), Partition((2, 1, 1, 0)))
     assert v.status == PASS and v.left == v.right
-    assert check_conjecture2(Partition((0,) * 5), Partition((1, 0, 0, 0, 0))).left == 1
+    assert compare("conj2", Partition((0,) * 5), Partition((1, 0, 0, 0, 0))).left == 1
 
 
 def test_cz_sum():
@@ -74,8 +73,8 @@ def test_gl5_counterexample():
     assert v.status == PASS
     assert (v.left, v.right) == (34, 33)
     # conjecture 2 itself fails on the pair when forced to run
-    forced = check_conjecture2(Partition((3, 3, 2, 0, 0)), Partition((4, 4, 1, 0, 0)),
-                               require_near_rectangular=False)
+    forced = compare("conj2", Partition((3, 3, 2, 0, 0)), Partition((4, 4, 1, 0, 0)),
+                     require_near_rectangular=False)
     assert forced.status == FAIL
 
 
@@ -241,12 +240,8 @@ def test_sweep_report_bytes_pinned(kwargs, json_sha, csv_sha):
 @pytest.mark.parametrize("check", ["conj1", "conj2", "cz_sum"])
 def test_sweep_verdicts_match_per_case_checks(check):
     cfg = SweepConfig(n=5, max_nr=1, max_mu_size=2, check=check, extra_cases=INJECTED)
-    single = {
-        "conj1": lambda lam, mu: check_conjecture1(lam, mu, require_near_rectangular=False),
-        "conj2": lambda lam, mu: check_conjecture2(lam, mu, require_near_rectangular=False),
-        "cz_sum": cz_sum_check,
-    }[check]
-    assert list(sweep(cfg).verdicts) == [single(lam, mu) for lam, mu in sweep_cases(cfg)]
+    assert list(sweep(cfg).verdicts) == [compare(check, lam, mu, require_near_rectangular=False)
+                                         for lam, mu in sweep_cases(cfg)]
 
 
 def test_sweep_computes_each_distinct_histogram_once(monkeypatch):
