@@ -112,52 +112,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"))
 
     p = sub.add_parser("repro-gl5", help="reproduce the rank-5 component-count counterexample")
-    p.set_defaults(run=lambda a: _emit_verdict(reproduce_gl5_counterexample(), a.json))
+    p.set_defaults(run=lambda a: _emit_verdict(a, reproduce_gl5_counterexample()))
 
     for p in sub.choices.values():  # last, as every subcommand lists it
         p.add_argument("--json", action="store_true")
     return parser
 
 
-def _emit_verdict(v, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(v.as_json(), sort_keys=True))
-    else:
-        line = f"{v.status} {v.check} lambda={v.lam} mu={v.mu}"
-        if v.witness:
-            line += f" ({v.witness})"
-        print(line)
+def _show(args, data, text) -> None:
+    """Print a result: ``data`` as one line of JSON under --json, else ``text``."""
+    print(json.dumps(data, sort_keys=True) if args.json else text)
+
+
+def _emit_verdict(args, v) -> int:
+    line = f"{v.status} {v.check} lambda={v.lam} mu={v.mu}"
+    _show(args, v.as_json(), f"{line} ({v.witness})" if v.witness else line)
     return 1 if v.status == FAIL else 0
 
 
 def _cmd_lr(args) -> int:
     lam, mu, nu = (_partition(args, k) for k in ("lam", "mu", "nu"))
     value = lr_coefficient(lam, mu, nu, args.method)
-    if args.json:
-        print(json.dumps({"lambda": list(lam), "mu": list(mu), "nu": list(nu),
-                          "method": args.method, "coefficient": value}, sort_keys=True))
-    else:
-        print(value)
+    _show(args, {"lambda": list(lam), "mu": list(mu), "nu": list(nu),
+                 "method": args.method, "coefficient": value}, value)
     return 0
 
 
 def _cmd_multiset(args) -> int:
     lam, mu = _partition(args, "lam"), _partition(args, "mu")
     ms = multiplicity_multiset(lam, mu)
-    if args.json:
-        print(json.dumps({"lambda": list(lam), "mu": list(mu),
-                          "multiset": {str(v): k for v, k in ms.counts},
-                          "components": ms.components, "mult_sum": ms.mult_sum},
-                         sort_keys=True))
-    else:
-        print(" ".join(f"{v}:{k}" for v, k in ms.counts))
+    _show(args, {"lambda": list(lam), "mu": list(mu), "multiset": {str(v): k for v, k in ms.counts},
+                 "components": ms.components, "mult_sum": ms.mult_sum},
+          " ".join(f"{v}:{k}" for v, k in ms.counts))
     return 0
 
 
 def _cmd_compare(args) -> int:
     lam, mu = _partition(args, "lam"), _partition(args, "mu")
     check = "cz_sum" if args.command == "czsum" else args.command
-    return _emit_verdict(compare(check, lam, mu), args.json)
+    return _emit_verdict(args, compare(check, lam, mu))
 
 
 def _cmd_stability(args) -> int:
@@ -166,78 +159,59 @@ def _cmd_stability(args) -> int:
         raise ValueError("--nu needs exactly four parts")
     ranks = tuple(int(t) for t in args.ranks.split(","))
     v = stability_check(args.lam1, args.lam2, args.mu1, args.mu2, nu4, ranks)
-    return _emit_verdict(v, args.json)
+    return _emit_verdict(args, v)
 
 
 def _cmd_horn(args) -> int:
     if args.generators:
         gens = hilbert_generators(args.family)
-        if args.json:
-            print(json.dumps({"family": args.family, "generators": [
-                {"lambda": list(g.lam), "mu": list(g.mu), "nu": list(g.nu),
-                 "description": g.description} for g in gens]}, sort_keys=True))
-        else:
-            for g in gens:
-                print(f"{g.lam} | {g.mu} | {g.nu}  {g.description}")
+        rows = [{"lambda": list(g.lam), "mu": list(g.mu), "nu": list(g.nu),
+                 "description": g.description} for g in gens]
+        _show(args, {"family": args.family, "generators": rows},
+              "\n".join(f"{g.lam} | {g.mu} | {g.nu}  {g.description}" for g in gens))
         return 0
     if None in (args.lam, args.mu, args.nu, args.n):
         raise ValueError("horn needs --lambda --mu --nu --n, or --generators")
     lam, mu, nu = (_partition(args, k) for k in ("lam", "mu", "nu"))
-    system = facet_system(args.family)
-    bad = system.violated(lam, mu, nu)
-    if args.json:
-        print(json.dumps({"family": args.family, "member": not bad, "violated": bad},
-                         sort_keys=True))
-    else:
-        print("member" if not bad else f"non-member, violated facet indices {bad}")
+    bad = facet_system(args.family).violated(lam, mu, nu)
+    _show(args, {"family": args.family, "member": not bad, "violated": bad},
+          f"non-member, violated facet indices {bad}" if bad else "member")
     return 0
 
 
 def _cmd_piecewise(args) -> int:
     if (args.point is not None) + (args.verify_range is not None) + args.dump != 1:
         raise ValueError("piecewise needs exactly one of --point, --verify-range, --dump")
-    if args.dump:
-        if args.family == "gl4nr-samples":
-            raise ValueError("--dump supports the full tables only (gl3, gl4nr2)")
-        print(json.dumps(piecewise_to_json(family_function(args.family)), sort_keys=True))
-        return 0
     if args.verify_range is not None:
         mismatch = verify_family(args.family, args.verify_range)
-        if args.json:
-            found = None if mismatch is None else {
-                "point": list(mismatch[0].values()), "table": mismatch[1], "enumeration": mismatch[2]}
-            print(json.dumps({"family": args.family, "bound": args.verify_range,
-                              "mismatch": found}, sort_keys=True))
-        elif mismatch is None:
-            print(f"OK: {args.family} agrees with enumeration up to {args.verify_range}")
+        if mismatch is None:
+            found, text = None, f"OK: {args.family} agrees with enumeration up to {args.verify_range}"
         else:
             point, table_value, true_value = mismatch
-            print(f"MISMATCH at {point}: table {table_value}, enumeration {true_value}")
-        return 0 if mismatch is None else 1
+            found = {"point": list(point.values()), "table": table_value, "enumeration": true_value}
+            text = f"MISMATCH at {point}: table {table_value}, enumeration {true_value}"
+        _show(args, {"family": args.family, "bound": args.verify_range, "mismatch": found}, text)
+        return 0 if found is None else 1
     f = family_function(args.family)
+    full = "c" in f.variables  # a full table has the threshold c; the sample pieces do not
+    if args.dump:
+        if not full:
+            raise ValueError("--dump supports the full tables only (gl3, gl4nr2)")
+        print(json.dumps(piecewise_to_json(f), sort_keys=True))
+        return 0
     coords = tuple(int(t) for t in args.point.split(","))
     if len(coords) != len(f.variables):
         raise ValueError(f"--point for {args.family} needs {len(f.variables)} coordinates "
                          f"({','.join(f.variables)}), got {len(coords)}")
     point = point_of(f.variables, coords)
-    if args.family == "gl4nr-samples":
-        hits = f.values(point)
-        if args.json:
-            print(json.dumps({"point": list(coords),
-                              "pieces": [{"index": i, "value": v} for i, v in hits]},
-                             sort_keys=True))
-        elif hits:
-            for i, v in hits:
-                print(f"{v} (piece {i})")
-        else:
-            print("no sample piece contains the point")
-        return 0
-    value, index = f.evaluate(point)
-    if args.json:
-        print(json.dumps({"point": list(coords), "value": value, "piece": index},
-                         sort_keys=True))
+    if full:
+        value, index = f.evaluate(point)
+        _show(args, {"point": list(coords), "value": value, "piece": index},
+              f"{value} (outside support)" if index is None else f"{value} (piece {index})")
     else:
-        print(f"{value} (piece {index})" if index is not None else f"{value} (outside support)")
+        hits = f.values(point)
+        _show(args, {"point": list(coords), "pieces": [{"index": i, "value": v} for i, v in hits]},
+              "\n".join(f"{v} (piece {i})" for i, v in hits) or "no sample piece contains the point")
     return 0
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,13 @@ def test_lr_methods_agree(capsys):
     for method in ("auto", "hive", "tableaux", "gl3"):
         code, out = run(capsys, "lr", "--lambda", "2,1", "--mu", "2,1",
                         "--nu", "3,2,1", "--n", "3", "--method", method)
+        assert code == 0
+        results.add(out.strip())
+    assert results == {"2"}
+    results = set()
+    for method in ("auto", "hive", "tableaux", "nr"):
+        code, out = run(capsys, "lr", "--lambda", "3,1,1", "--mu", "2,1,1",
+                        "--nu", "4,2,2,1", "--n", "4", "--method", method)
         assert code == 0
         results.add(out.strip())
     assert results == {"2"}
@@ -80,6 +88,45 @@ def test_multiset_output_pinned(capsys):
             print(main(["multiset", "--lambda", lam, "--mu", mu, "--n", str(n), *extra]))
     out, err = capsys.readouterr()
     assert hashlib.sha256((out + err).encode()).hexdigest() == MULTISET_SHA256
+
+
+# One argv per output branch of every subcommand but --dump: each is run in
+# text and --json, so the digest covers both formats of every result
+OUTPUT_ARGVS = (
+    *(["lr", "--lambda", "2,1,1", "--mu", "2,1,1", "--nu", "3,3,2", "--n", "4", "--method", m]
+      for m in ("auto", "hive", "tableaux", "nr")),
+    ["lr", "--lambda", "5,3", "--mu", "6,3", "--nu", "8,6,3", "--n", "3", "--method", "gl3"],
+    ["lr", "--lambda", "2,1", "--mu", "2,1", "--nu", "3,2,1", "--n", "4", "--method", "nr"],
+    ["multiset", "--lambda", "3,1,1", "--mu", "2,2,1", "--n", "4"],
+    ["conj1", "--lambda", "5,3", "--mu", "6,3", "--n", "3"],
+    ["conj1", "--lambda", "3,3,2", "--mu", "4,4,1", "--n", "5"],
+    ["conj2", "--lambda", "4,2,2", "--mu", "2,1,1", "--n", "4"],
+    ["czsum", "--lambda", "3,3,2", "--mu", "4,4,1", "--n", "5"],
+    ["stability", "--lam1", "2", "--lam2", "1", "--mu1", "2", "--mu2", "1", "--nu", "4,2,2,0"],
+    ["horn", "--family", "nr2", "--lambda", "1,1,1", "--mu", "1,1,1", "--nu", "2,2,1,1", "--n", "4"],
+    ["horn", "--family", "nr2", "--lambda", "1,1,1", "--mu", "1,1,1", "--nu", "3,3", "--n", "4"],
+    ["horn", "--family", "nr", "--generators"],
+    ["horn", "--family", "nr2", "--generators"],
+    ["piecewise", "--family", "gl3", "--point", "1,1,1,1,0"],
+    ["piecewise", "--family", "gl4nr2", "--point", "0,0,0,0,5"],
+    ["piecewise", "--family", "gl4nr-samples", "--point", "1,1,1,0,0"],
+    ["piecewise", "--family", "gl4nr-samples", "--point", "3,0,0,0,0"],
+    ["piecewise", "--family", "gl3", "--verify-range", "2"],
+    ["piecewise", "--family", "gl4nr2", "--verify-range", "1"],
+    ["repro-gl5"],
+    ["sweep", "--n", "4", "--max-nr", "1", "--max-mu", "2", "--check", "conj1"],
+)
+# sha256 of each argv's text then --json stdout, each followed by its exit
+# status, all of stderr last; fixed before the CLI printed through one helper
+OUTPUT_SHA256 = "b2d68baaad2990fa90f2e8fc2dbc1142384f9808838d455cf064590270ae56cf"
+
+
+def test_every_output_pinned(capsys):
+    for argv in OUTPUT_ARGVS:
+        for extra in ([], ["--json"]):
+            print(main([*argv, *extra]))
+    out, err = capsys.readouterr()
+    assert hashlib.sha256((out + err).encode()).hexdigest() == OUTPUT_SHA256
 
 
 def test_multiset_past_the_recursion_limit(capsys):
@@ -227,6 +274,45 @@ def test_sweep_config_file(capsys, tmp_path):
     code, out = run(capsys, "sweep", "--config", str(path), "--json")
     assert code == 0
     assert json.loads(out)["summary"]["fails"] == 0
+
+
+@pytest.mark.parametrize("expected_fail, code", [([], 1), ([[5, 3, 1, 0]], 0)])
+def test_sweep_text_fail_line(capsys, tmp_path, expected_fail, code):
+    """A failing case gets its own text line; only an unexpected one exits 1."""
+    cfg = {"n": 4, "max_nr": 0, "max_mu_size": 1, "check": "conj1",
+           "extra_cases": [[[5, 3, 1, 0], [5, 3, 1, 0]]], "expected_fail_lambdas": expected_fail}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(capsys, "sweep", "--config", str(path)) == (code, (
+        "3 cases: 2 PASS, 1 FAIL\n"
+        "  FAIL lambda=5,3,1,0 mu=5,3,1,0: first differing histogram entry (1, 16)\n"))
+
+
+def test_stability_fail(capsys, monkeypatch):
+    """Hive counts that move with the rank FAIL; the by-rank dict is reported
+    as its string."""
+    monkeypatch.setattr("lrhive.verify.count_hives", lambda lam, mu, nu: lam.n)
+    argv = ["stability", "--lam1", "2", "--lam2", "1", "--mu1", "2", "--mu2", "1", "--nu", "4,2,2,0"]
+    witness = "hive counts by rank {4: 4, 5: 5, 6: 6}, closed form 1"
+    assert run(capsys, *argv) == (
+        1, f"FAIL stability lambda=2,1,1,0 mu=2,1,1,0 ({witness})\n")
+    code, out = run(capsys, *argv, "--json")
+    data = json.loads(out)
+    assert code == 1 and data["status"] == "FAIL"
+    assert (data["left"], data["right"], data["witness"]) == ("{4: 4, 5: 5, 6: 6}", 1, witness)
+
+
+def test_repro_gl5_fail(capsys, monkeypatch):
+    """Component counts other than (34, 33) FAIL the reproduction."""
+    monkeypatch.setattr("lrhive.verify.multiplicity_multiset",
+                        lambda lam, mu: SimpleNamespace(components=sum(lam.parts)))
+    witness = "expected counts (34, 33), got (8, 7)"
+    assert run(capsys, "repro-gl5") == (
+        1, f"FAIL repro-gl5 lambda=3,3,2,0,0 mu=4,4,1,0,0 ({witness})\n")
+    code, out = run(capsys, "repro-gl5", "--json")
+    data = json.loads(out)
+    assert code == 1 and data["status"] == "FAIL"
+    assert (data["left"], data["right"], data["witness"]) == (8, 7, witness)
 
 
 @pytest.mark.parametrize("argv, expected", [

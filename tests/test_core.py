@@ -99,6 +99,7 @@ def test_partitions_of():
     assert list(partitions_of(0, 3)) == [()]
     # partitions into at most 3 parts of 6: 7 of them
     assert len(list(partitions_of(6, 3))) == 7
+    assert list(partitions_of(5, 1, 2)) == []  # one part of at most 2 cannot hold 5
 
 
 @given(st.integers(0, 10), st.integers(1, 4))

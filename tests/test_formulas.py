@@ -105,6 +105,23 @@ def test_nr_rejects_non_near_rectangular():
         nr_coefficient(Partition((3, 3, 2, 0, 0)), _nr(2, 1, 5), Partition((5, 4, 3, 1, 0)))
 
 
+def test_formula_argument_checks():
+    lam = mu = Partition((2, 1, 0))
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        lr_coefficient(lam, mu, Partition((3, 2, 1)), "bogus")
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        gl3_exceeds(lam, mu, Partition((3, 2, 1)), -1)
+    with pytest.raises(ValueError, match="rank must be >= 4"):
+        nr_coefficient(lam, mu, Partition((3, 2, 1)))
+    with pytest.raises(ValueError, match="last part 0"):
+        nr_coefficient(Partition((2, 1, 1, 1)), _nr(2, 1, 4), Partition((4, 2, 2, 2)))
+    for k, l in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            isotypic_count_selfdual_family(k, l)
+        with pytest.raises(ValueError, match="nonnegative"):
+            selfdual_component_count(k, l)
+
+
 def test_nr_support_matches_enumeration():
     for l1, l2, m1, m2 in [(2, 1, 2, 1), (3, 1, 2, 2), (4, 0, 1, 1)]:
         lam, mu = _nr(l1, l2, 4), _nr(m1, m2, 4)

@@ -276,3 +276,22 @@ def test_restrict_hive_rejects_bad_input():
     h = enumerate_hives(lam, mu, nu)[0]
     with pytest.raises(ValueError):
         restrict_hive(h)  # lam not near-rectangular
+    rank3 = enumerate_hives(Partition((2, 1, 0)), Partition((2, 1, 0)), Partition((3, 2, 1)))[0]
+    with pytest.raises(ValueError, match="size >= 4"):
+        restrict_hive(rank3)
+    lam = mu = Partition((2, 1, 1, 1))
+    h = enumerate_hives(lam, mu, Partition((4, 2, 2, 2)))[0]
+    with pytest.raises(ValueError, match="last part 0"):
+        restrict_hive(h)  # near-rectangular, but not bar-reduced
+
+
+def test_restrict_hive_at_size_4():
+    """At size 4 a hive is its own restriction; a labeling that breaks a
+    rhombus inequality is refused."""
+    lam = mu = Partition((2, 1, 1, 0))
+    h = enumerate_hives(lam, mu, Partition((4, 2, 2, 0)))[0]
+    assert restrict_hive(h) is h
+    rows = [list(r) for r in h.rows]
+    rows[2][1] += 5
+    with pytest.raises(ValueError, match="not a hive"):
+        restrict_hive(Hive(tuple(map(tuple, rows))))

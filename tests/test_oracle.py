@@ -1,5 +1,6 @@
 """Tests for the tableau-counting oracle and its agreement with hives."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,11 @@ def test_known_counts():
     assert lr_tableaux_count(Partition((3, 0)), Partition((1, 0)), Partition((2, 2))) == 0
     # empty mu
     assert lr_tableaux_count(lam, Partition((0, 0, 0)), lam) == 1
+
+
+def test_rank_mismatch():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        lr_tableaux_count(Partition((1, 0)), Partition((1, 0, 0)), Partition((2, 0, 0)))
 
 
 def test_pieri_rule():

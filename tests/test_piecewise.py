@@ -52,6 +52,10 @@ def test_polynomial_arithmetic():
     q = Fraction(1, 2) * x**2 + 1
     assert (q.numerators, q.denominator) == ((((0, 0), 2), ((2, 0), 1)), 2)
     assert p.permuted({"x": "y", "y": "x"}) == y**2 - x**2
+    z = Polynomial.var(("x", "z"), "z")
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            op(x, z)
 
 
 def _everywhere(q):

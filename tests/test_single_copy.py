@@ -1,9 +1,11 @@
 """Shared checks and declarations are written once: the rank check lives in
 ``partitions.common_rank`` (the tableaux oracle keeps its own, being
-independent on purpose), the CLI declares ``--json`` in one place, a
-piecewise table is evaluated only through its compiled form, and its forms
-and polynomials share one algebra type."""
+independent on purpose), the CLI declares ``--json`` in one place and picks
+between JSON and text in one helper, a piecewise table is evaluated only
+through its compiled form, and its forms and polynomials share one algebra
+type."""
 
+import ast
 from pathlib import Path
 
 from lrhive import piecewise
@@ -19,6 +21,23 @@ def test_rank_mismatch_written_once():
 
 def test_json_flag_declared_once():
     assert (SRC / "cli.py").read_text().count('add_argument("--json"') == 1
+
+
+def test_cli_output_format_chosen_once():
+    """Every result goes through ``_show``; only the sweep's indented report
+    and ``piecewise --dump``, which is JSON whatever the flags, print JSON
+    of their own."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    dumps, reads = [], []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "dumps":
+                    dumps.append(func.name)
+                if isinstance(node, ast.Attribute) and node.attr == "json":
+                    reads.append(func.name)
+    assert sorted(dumps) == ["_cmd_piecewise", "_show"]
+    assert sorted(reads) == ["_cmd_sweep", "_show"]
 
 
 def test_piecewise_table_parts_do_not_evaluate():

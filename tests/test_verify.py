@@ -101,6 +101,8 @@ def test_sweep_config_validation():
         SweepConfig(n=4, max_nr=-1, max_mu_size=4, check="conj1")
     with pytest.raises(ValueError, match="missing .*'max_nr', 'max_mu_size', 'check'"):
         SweepConfig.from_json({"n": 4})
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        SweepConfig(n=4, max_nr=1, max_mu_size=2, check="conj1", jobs=0)
     with pytest.raises(ValueError, match="give output_path too"):
         SweepConfig(n=4, max_nr=1, max_mu_size=2, check="conj1", output_format="csv")
     cfg = SweepConfig(n=4, max_nr=1, max_mu_size=2, check="conj1")
