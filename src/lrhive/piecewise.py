@@ -373,12 +373,9 @@ class PiecewiseFunction:
         out = []
         for i in hits:
             modulus, (total, terms), branches = pieces[i]
-            if modulus > 1:
-                for j, c in terms:
-                    total += c * coords[j]
-                den, nums, slots = branches[total % modulus]
-            else:  # any selector value is 0 mod 1
-                den, nums, slots = branches[0]
+            for j, c in terms:  # a plain piece's selector is the zero form: no terms
+                total += c * coords[j]
+            den, nums, slots = branches[total % modulus]
             out.append((i, sum(map(mul, nums, map(take, slots))), den))
         return out
 
@@ -493,13 +490,11 @@ def multiplicity_multiset(lam: Partition, mu: Partition, method: str | None = No
     that backend.
     """
     if method is None:
-        return MultiplicityMultiset.make(Counter(_lr_counts(lam, mu).values()))
-    counts: dict[int, int] = {}
-    for nu in enumerate_nu_candidates(lam, mu):
-        coeff = lr_coefficient(lam, mu, nu, method)
-        if coeff > 0:
-            counts[coeff] = counts.get(coeff, 0) + 1
-    return MultiplicityMultiset.make(counts)
+        coefficients = _lr_counts(lam, mu).values()
+    else:
+        coefficients = [c for nu in enumerate_nu_candidates(lam, mu)
+                        if (c := lr_coefficient(lam, mu, nu, method))]
+    return MultiplicityMultiset.make(Counter(coefficients))
 
 
 def count_above_enum(lam: Partition, mu: Partition, c: int) -> int:
@@ -591,12 +586,11 @@ def gl3_count_function() -> PiecewiseFunction:
 # ---------------------------------------------------------------------------
 # the rank-4 near-rectangular-pair table (36 pieces from 8 representatives)
 
-GL4NR2_VARIABLES = GL3_VARIABLES
 
-
-def _gl4nr2_representatives() -> list[tuple[Cone, Polynomial, int]]:
-    """The 8 orbit representatives with their expected orbit sizes."""
-    V = GL4NR2_VARIABLES
+def gl4nr2_count_function() -> PiecewiseFunction:
+    """The 36-piece degree-3 table for #{nu : c_{lam,mu}^nu > c} at rank 4
+    with both factors near-rectangular, generated by orbit expansion."""
+    V = GL3_VARIABLES
     k1, k2, l1, l2, c = (Polynomial.var(V, v) for v in V)
     p1 = Fraction(-1, 2) * (c - l2 - 1) * (c - l1 - 1) * (2 * c - l1 - l2 - 2)
     p16 = p1 - binom3(l1 + l2 - k2 - c + 2)
@@ -616,16 +610,8 @@ def _gl4nr2_representatives() -> list[tuple[Cone, Polynomial, int]]:
     c27 = Cone.make([l1 + l2 - k1 - k2, k1 - l1, k1 - l2])
     c36 = Cone.make([k1 + c - l1 - l2, l1 - k2, l2 - k2])
 
-    return [
-        (c1, p1, 2), (c16, p16, 4), (c2, p2, 2), (c19, p19, 8),
-        (c21, p21, 8), (c29, p29, 4), (c27, p27, 4), (c36, p36, 4),
-    ]
-
-
-def gl4nr2_count_function() -> PiecewiseFunction:
-    """The 36-piece degree-3 table for #{nu : c_{lam,mu}^nu > c} at rank 4
-    with both factors near-rectangular, generated by orbit expansion."""
-    f = _orbit_table(_gl4nr2_representatives(), [S1, S2], 36)
+    f = _orbit_table([(c1, p1, 2), (c16, p16, 4), (c2, p2, 2), (c19, p19, 8),
+                      (c21, p21, 8), (c29, p29, 4), (c27, p27, 4), (c36, p36, 4)], [S1, S2], 36)
     fixed = len(s1_fixed_pieces(f))
     if fixed != 12:
         raise TranscriptionError(f"expected 12 s1-fixed pieces, got {fixed}")

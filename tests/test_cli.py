@@ -289,8 +289,8 @@ def test_sweep_text_fail_line(capsys, tmp_path, expected_fail, code):
 
 
 def test_stability_fail(capsys, monkeypatch):
-    """Hive counts that move with the rank FAIL; the by-rank dict is reported
-    as its string."""
+    """Hive counts that move with the rank FAIL; under --json the by-rank
+    dict is reported as a JSON object with string keys."""
     monkeypatch.setattr("lrhive.verify.count_hives", lambda lam, mu, nu: lam.n)
     argv = ["stability", "--lam1", "2", "--lam2", "1", "--mu1", "2", "--mu2", "1", "--nu", "4,2,2,0"]
     witness = "hive counts by rank {4: 4, 5: 5, 6: 6}, closed form 1"
@@ -299,7 +299,7 @@ def test_stability_fail(capsys, monkeypatch):
     code, out = run(capsys, *argv, "--json")
     data = json.loads(out)
     assert code == 1 and data["status"] == "FAIL"
-    assert (data["left"], data["right"], data["witness"]) == ("{4: 4, 5: 5, 6: 6}", 1, witness)
+    assert (data["left"], data["right"], data["witness"]) == ({"4": 4, "5": 5, "6": 6}, 1, witness)
 
 
 def test_repro_gl5_fail(capsys, monkeypatch):

@@ -132,6 +132,11 @@ def test_quasi_polynomial_branches():
     f = _everywhere(QuasiPolynomial(2, x, (x, x + 1)))
     assert f.evaluate({"x": 4}) == (4, 0)
     assert f.evaluate({"x": 5}) == (6, 0)
+    # modulus 1 with a nonzero selector: every selector value picks the one branch
+    one = _everywhere(QuasiPolynomial(1, x, (x + 1,)))
+    for v in (-3, 0, 4, 5):
+        assert one.evaluate({"x": v}) == (v + 1, 0)
+        assert one.values({"x": v}) == [(0, v + 1)]
 
 
 def test_gl3_table_structure():
@@ -274,6 +279,24 @@ def test_gl4nr2_table_matches_enumeration(coords):
     f = family_function("gl4nr2")
     point = point_of(f.variables, coords)
     assert f.evaluate(point)[0] == enum_value("gl4nr2", point)
+
+
+def test_gl4nr2_table_is_stable_in_rank():
+    """The rank-4 table also counts the rank-n pairs (k1+k2, k2^{n-2}, 0),
+    (l1+l2, l2^{n-2}, 0) for n = 5..8: the stability theorem read through
+    the table, checked on coordinates in [0, 3]^4 and c <= 3 (evidence on a
+    finite box, not a proof)."""
+    f = family_function("gl4nr2")
+    mismatches = []
+    for n in range(5, 9):
+        for k1, k2, l1, l2 in product(range(4), repeat=4):
+            ms = multiplicity_multiset(padded((k1 + k2,), k2, (0,), n),
+                                       padded((l1 + l2,), l2, (0,), n))
+            for c in range(4):
+                value, _ = f.evaluate(point_of(f.variables, (k1, k2, l1, l2, c)))
+                if value != (expected := ms.count_above(c)):
+                    mismatches.append((n, k1, k2, l1, l2, c, value, expected))
+    assert mismatches == []
 
 
 def test_sample_pieces():
