@@ -490,7 +490,7 @@ def multiplicity_multiset(lam: Partition, mu: Partition, method: str | None = No
     that backend.
     """
     if method is None:
-        coefficients = _lr_counts(lam, mu).values()
+        coefficients = _lr_counts(lam, mu)[0].values()
     else:
         coefficients = [c for nu in enumerate_nu_candidates(lam, mu)
                         if (c := lr_coefficient(lam, mu, nu, method))]

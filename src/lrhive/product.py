@@ -11,12 +11,23 @@ first, each row right to left.  Keep a filling only while lam plus the
 weight read so far stays a partition.  Each kept filling T adds 1 to
 c_{lam,mu}^nu for nu = lam + wt(T), so no nu with c = 0 is ever visited,
 and lam_n > 0 or mu_n > 0 needs no bar reduction.
+
+The search fills one of four shapes, the one with the fewest cells: mu,
+lam, mu* or lam* (p* = ``partitions.dual_parts(p)``, with n * p_1 - |p|
+cells), ties in that order.  Commutativity and duality make them equal,
+
+    c_{lam,mu}^nu = c_{mu,lam}^nu = c_{lam*,mu*}^{nu'},
+    nu' = (w - nu_n, ..., w - nu_1),  w = lam_1 + mu_1,
+
+since V(p)* is V(p*) times a power of the determinant.  A filling of mu*
+or lam* counts nu' in place of nu, and only ``lr_expansion`` maps it back:
+a histogram reads the coefficients alone.
 """
 
 from __future__ import annotations
 
 from .formulas import _gl3_counts
-from .partitions import Partition, common_rank
+from .partitions import Partition, common_rank, dual_parts
 
 
 def _fill_plan(mu: tuple[int, ...]):
@@ -43,28 +54,43 @@ def _fill_plan(mu: tuple[int, ...]):
 def lr_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Every nu with c_{lam,mu}^nu > 0, mapped to that coefficient, for lam
     and mu of any one rank."""
-    return {Partition(nu): c for nu, c in _lr_counts(lam, mu).items()}
+    counts, dual = _lr_counts(lam, mu)
+    if dual:
+        w = lam[0] + mu[0]
+        return {Partition(tuple(w - p for p in reversed(nu))): c for nu, c in counts.items()}
+    return {Partition(nu): c for nu, c in counts.items()}
 
 
-def _lr_counts(lam: Partition, mu: Partition) -> dict[tuple[int, ...], int]:
-    """``lr_expansion`` keyed by the parts of nu, for callers that read only
-    the coefficients: the closed form at rank 3, the tableau search otherwise."""
-    return _gl3_counts(lam, mu) if common_rank(lam, mu) == 3 else _tableau_counts(lam, mu)
+def _lr_counts(lam: Partition, mu: Partition) -> tuple[dict[tuple[int, ...], int], bool]:
+    """(counts, dual): the coefficients of ``lr_expansion``, keyed by the
+    parts of nu, or of nu' when dual is true.  The closed form at rank 3,
+    the tableau search on the smallest of the four shapes otherwise."""
+    n = common_rank(lam, mu)
+    if n == 3:
+        return _gl3_counts(lam, mu), False
+    lp, mp = lam.parts, mu.parts
+    ls, ms = sum(lp), sum(mp)
+    sizes = (ms, ls, n * mp[0] - ms, n * lp[0] - ls)  # cells of mu, lam, mu*, lam*
+    k = sizes.index(min(sizes))
+    if k >= 2:
+        lp, mp = dual_parts(lp), dual_parts(mp)
+    return (_tableau_counts(mp, lp) if k % 2 else _tableau_counts(lp, mp)), k >= 2
 
 
-def _tableau_counts(lam: Partition, mu: Partition) -> dict[tuple[int, ...], int]:
-    """The LR-tableau search for lam, mu of one rank.
+def _tableau_counts(lam: tuple[int, ...], mu: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The LR-tableau search for the parts lam, mu of one rank, keyed by
+    the parts of nu.
 
     Depth-first over the fillings of shape mu with its own stack, so it has
     no depth limit.  One node is one value placed in one cell.
     """
-    n = lam.n
-    right, next_above = _fill_plan(mu.parts)
+    n = len(lam)
+    right, next_above = _fill_plan(mu)
     m = len(right)
     if not m:
-        return {lam.parts: 1}
+        return {lam: 1}
     vals = [0] * m + [n, 0]
-    wt = list(lam.parts)  # lam plus the weight of the cells filled so far
+    wt = list(lam)  # lam plus the weight of the cells filled so far
     counts: dict[tuple[int, ...], int] = {}
     k, v = 0, 1
     while True:

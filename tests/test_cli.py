@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrhive
-from lrhive import cli, piecewise
+from lrhive import cli, piecewise, product
 from lrhive.cli import main
 from lrhive.coefficients import METHODS
 from lrhive.piecewise import FAMILIES, PiecewiseFunction, Polynomial, QuasiPolynomial
@@ -137,7 +137,10 @@ def test_multiset_past_the_recursion_limit(capsys):
 
 
 def test_multiset_with_a_thousand_cells(capsys):
-    """The product search keeps its own stack: one level per cell of mu."""
+    """The product search keeps its own stack: one level per cell of the
+    shape it fills.  The command fills lam = (0), which has no cells, so the
+    search is also run on mu = (1000) itself."""
+    assert product._tableau_counts((0,), (1000,)) == {(1000,): 1}
     assert run(capsys, "multiset", "--lambda", "0", "--mu", "1000", "--n", "1") == (0, "1:1\n")
 
 

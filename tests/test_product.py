@@ -12,7 +12,7 @@ from lrhive import piecewise, product
 from lrhive.coefficients import lr_coefficient
 from lrhive.formulas import _gl3_counts
 from lrhive.hive import count_hives
-from lrhive.partitions import Partition, enumerate_nu_candidates, partitions_of
+from lrhive.partitions import Partition, dual_parts, enumerate_nu_candidates, partitions_of
 from lrhive.piecewise import MultiplicityMultiset, multiplicity_multiset
 from lrhive.product import lr_expansion
 from lrhive.tableaux import lr_tableaux_count
@@ -43,10 +43,28 @@ def per_nu(lam, mu, coefficient):
     return {nu: c for nu in enumerate_nu_candidates(lam, mu) if (c := coefficient(lam, mu, nu))}
 
 
-def test_matches_hive_counts_over_the_oracle_range():
-    """Criterion 2's range: n <= 5, |lam| + |mu| <= 12, lam_n and mu_n free."""
+def test_matches_hive_counts_over_the_oracle_range(monkeypatch):
+    """Criterion 2's range: n <= 5, |lam| + |mu| <= 12, lam_n and mu_n free.
+    The range fills each of the four shapes (mu, lam, mu*, lam*), so it
+    checks the swap and the map back from nu' too."""
+    search = product._tableau_counts
+    filled = []
+
+    def recorded(base, shape):
+        filled.append((base, shape))
+        return search(base, shape)
+
+    monkeypatch.setattr(product, "_tableau_counts", recorded)
+    shapes = Counter()
     for lam, mu in pairs_up_to(5, 12):
+        filled.clear()
         assert lr_expansion(lam, mu) == per_nu(lam, mu, count_hives), (lam, mu)
+        if lam.n != 3:
+            (searched,) = filled
+            lp, mp = lam.parts, mu.parts
+            ld, md = dual_parts(lp), dual_parts(mp)
+            shapes[[(lp, mp), (mp, lp), (ld, md), (md, ld)].index(searched)] += 1
+    assert shapes == {0: 2_098, 1: 1_888, 2: 746, 3: 615}
 
 
 def test_matches_tableaux_oracle():
@@ -77,7 +95,7 @@ def test_gl3_expansion_matches_product_and_tableaux():
     for lam in shapes:
         for mu in shapes:
             counts = _gl3_counts(lam, mu)
-            assert counts == product._tableau_counts(lam, mu), (lam, mu)
+            assert counts == product._tableau_counts(lam.parts, mu.parts), (lam, mu)
             if lam.size + mu.size <= 8:
                 tableaux = per_nu(lam, mu, lr_tableaux_count)
                 assert counts == {nu.parts: c for nu, c in tableaux.items()}, (lam, mu)
@@ -88,14 +106,14 @@ def test_edge_cases():
     for lam in (Partition((3, 1, 0)), Partition((4, 2, 1)), zero):
         assert lr_expansion(lam, zero) == {lam: 1}
         assert lr_expansion(zero, lam) == {lam: 1}
-        assert product._tableau_counts(lam, zero) == {lam.parts: 1}
+        assert product._tableau_counts(lam.parts, zero.parts) == {lam.parts: 1}
     assert lr_expansion(Partition((0,)), Partition((0,))) == {Partition((0,)): 1}
     assert lr_expansion(Partition((2,)), Partition((5,))) == {Partition((7,)): 1}
     # full columns on both sides, with no bar reduction: shift the rank-3 answer
     expected = {tuple(p + 3 for p in nu): c
-                for nu, c in product._tableau_counts(Partition((2, 1, 0)), Partition((2, 1, 0))).items()}
+                for nu, c in product._tableau_counts((2, 1, 0), (2, 1, 0)).items()}
     full_lam, full_mu = Partition((4, 3, 2)), Partition((3, 2, 1))
-    assert product._tableau_counts(full_lam, full_mu) == expected
+    assert product._tableau_counts(full_lam.parts, full_mu.parts) == expected
     assert lr_expansion(full_lam, full_mu) == {Partition(nu): c for nu, c in expected.items()}
     assert expected[6, 5, 4] == 2
 
@@ -153,6 +171,30 @@ def test_product_work_pinned_rank7_staircase(monkeypatch):
     """The rank-7 staircase pair (hive search: 200,892 nodes)."""
     lam, mu = Partition((6, 5, 4, 3, 2, 1, 0)), Partition((5, 4, 3, 2, 1, 0, 0))
     assert _product_nodes(monkeypatch, lam, mu) == 66_963
+
+
+def test_product_work_pinned_swap(monkeypatch):
+    """lam has 12 cells against 32, 17 and 23 in mu, mu*, lam*: the search
+    fills lam.  Filling mu, as before the choice of shape, took 7,768 nodes."""
+    lam, mu = Partition((5, 2, 2, 2, 1, 0, 0)), Partition((7, 7, 4, 4, 4, 4, 2))
+    assert _product_nodes(monkeypatch, lam, mu) == 855
+
+
+def test_product_work_pinned_dual(monkeypatch):
+    """lam* = (5, 5, 3, 1, 0, 0, 0) has 14 cells against 26, 21 and 16 in
+    mu, lam, mu*: the search fills it and counts nu'.  Filling mu, as before
+    the choice of shape, took 30,965 nodes."""
+    lam, mu = Partition((5, 5, 5, 4, 2, 0, 0)), Partition((6, 5, 4, 4, 3, 2, 2))
+    assert _product_nodes(monkeypatch, lam, mu) == 2_464
+
+
+def test_expansion_matches_the_search_on_mu_for_benchmark_pairs():
+    """The first pair of every benchmark stratum (48 pairs, ranks 5..7):
+    the map from whichever shape it fills equals the search on mu."""
+    for stratum in json.loads(PAIRS.read_text())["strata"]:
+        lam, mu = (Partition(tuple(stratum[0][k])) for k in ("lambda", "mu"))
+        expected = product._tableau_counts(lam.parts, mu.parts)
+        assert lr_expansion(lam, mu) == {Partition(nu): c for nu, c in expected.items()}, (lam, mu)
 
 
 def test_default_histogram_matches_hive_on_benchmark_pairs():
