@@ -13,10 +13,13 @@ coefficients, every cone constraint and selector, so a transcription reads
 as its printed inequality (``k1 + k2 - l1 - c``) and one ``permuted`` moves
 walls and branches alike.  The dataclasses hold a table for building, orbit
 expansion, deduplication by value and JSON; the only way to evaluate one is
-its compiled form, built on first use: variables become tuple positions,
-each point's signs on the table's distinct cone forms pack into one mask
-that picks the containing pieces, and each point gets one table of the
-table's monomials, which every containing piece's branch reads.
+its compiled form, built on first use, which reads a point as a tuple of
+coordinates in the table's variable order (``evaluate_at`` and
+``values_at``; ``evaluate`` and ``values`` read a mapping into one): each
+point's signs on the table's distinct cone forms pack into one mask that
+picks the containing pieces, and each point gets one table of the table's
+monomials, from which every containing piece's branch takes its slots
+through one ``itemgetter``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .coefficients import lr_coefficient
 from .partitions import Partition, dual_parts, enumerate_nu_candidates, padded_parts
@@ -219,10 +222,11 @@ class PieceAgreementError(AssertionError):
 
 # The compiled forms, over coordinate tuples in a table's variable order: a
 # linear form is (constant, ((variable index, coefficient), ...)), and a
-# branch is (denominator, numerators, monomial slots): its value is the sum of
-# each numerator times its monomial, read from the point's monomial table.
+# branch is (denominator, numerators, take): its value is the sum of each
+# numerator times its monomial, which ``take`` reads, all in one tuple, from
+# the point's monomial table.
 IndexedForm = tuple[int, tuple[tuple[int, int], ...]]
-IndexedBranch = tuple[int, tuple[int, ...], tuple[int, ...]]
+IndexedBranch = tuple[int, tuple[int, ...], Callable[[list[int]], tuple[int, ...]]]
 
 
 def _affine(form: Polynomial) -> IndexedForm:
@@ -329,7 +333,7 @@ class PiecewiseFunction:
         is the mask of its forms' bits, and contains the point when the
         point's mask covers it.  Each piece is (modulus, selector,
         branches).  ``recipe`` builds a point's monomial table (see
-        ``_monomial_recipe``), which each branch reads by slot.  ``hits``
+        ``_monomial_recipe``), from which each branch takes its slots.  ``hits``
         memoizes sign mask -> indices of the containing pieces, ascending.
         """
         if len(self.variables) > 1:
@@ -347,8 +351,15 @@ class PiecewiseFunction:
             e for _, q in self.pieces for b in q.branches for e, _ in b.numerators)
 
         def branch(p: Polynomial) -> IndexedBranch:
-            return (p.denominator, tuple(c for _, c in p.numerators),
-                    tuple(slot[e] for e, _ in p.numerators))
+            slots = tuple(slot[e] for e, _ in p.numerators)
+            if len(slots) > 1:
+                take = itemgetter(*slots)
+            else:  # itemgetter of one index returns its bare value, and of none is an error
+
+                def take(monomials: list[int]) -> tuple[int, ...]:
+                    return tuple(monomials[s] for s in slots)
+
+            return p.denominator, tuple(c for _, c in p.numerators), take
 
         cones = tuple(sum(bits[form] for form in cone.constraints) for cone, _ in self.pieces)
         pieces = tuple((q.modulus, _affine(q.selector), tuple(map(branch, q.branches)))
@@ -369,53 +380,60 @@ class PiecewiseFunction:
         monomials = [1]
         for parent, j in recipe:
             monomials.append(monomials[parent] * coords[j])
-        take = monomials.__getitem__
         out = []
         for i in hits:
             modulus, (total, terms), branches = pieces[i]
             for j, c in terms:  # a plain piece's selector is the zero form: no terms
                 total += c * coords[j]
-            den, nums, slots = branches[total % modulus]
-            out.append((i, sum(map(mul, nums, map(take, slots))), den))
+            den, nums, take = branches[total % modulus]
+            out.append((i, sum(map(mul, nums, take(monomials))), den))
         return out
 
-    def evaluate(self, point: Mapping[str, int]) -> tuple[int, int | None]:
-        """Value and lowest containing piece index; (0, None) outside support.
+    def evaluate_at(self, coords: tuple[int, ...]) -> tuple[int, int | None]:
+        """Value and lowest containing piece index at the point whose
+        coordinates, in the order of ``variables``, are ``coords``; (0, None)
+        outside support.
 
         Every containing piece is evaluated and agreement is asserted, always.
         """
-        coordinates, support = self._compiled[:2]
-        coords = coordinates(point)
-        if not _inside(support, coords):
+        if not _inside(self._compiled[1], coords):
             return 0, None
         hits = self._containing(coords)
         if not hits:
-            raise PieceAgreementError(f"no piece covers in-support point {dict(point)}")
-        # (quotient, remainder) pairs: one pair with remainder 0 means every
-        # piece gave the same integer
-        values = {divmod(num, den) for _, num, den in hits}
-        if len(values) == 1:
-            (value, rem), = values
-            if not rem:
-                return value, hits[0][0]
+            raise PieceAgreementError(
+                f"no piece covers in-support point {point_of(self.variables, coords)}")
+        index, num, den = hits[0]
+        value, rem = divmod(num, den)
+        # every piece gave the same integer: the first piece's, with no remainder
+        if not rem and (len(hits) == 1 or all(n == value * d for _, n, d in hits)):
+            return value, index
         exact = {Fraction(num, den) for _, num, den in hits}
         if len(exact) != 1:
             raise PieceAgreementError(
-                f"pieces {[i for i, _, _ in hits]} disagree at {dict(point)}: {sorted(exact)}"
-            )
-        raise PieceAgreementError(f"non-integral value {exact.pop()} at {dict(point)}")
+                f"pieces {[i for i, _, _ in hits]} disagree at {point_of(self.variables, coords)}: "
+                f"{sorted(exact)}")
+        raise PieceAgreementError(f"non-integral value {exact.pop()} at {point_of(self.variables, coords)}")
 
-    def values(self, point: Mapping[str, int]) -> list[tuple[int, int]]:
-        """(index, value) of every piece whose cone contains ``point``, each
+    def values_at(self, coords: tuple[int, ...]) -> list[tuple[int, int]]:
+        """(index, value) of every piece whose cone contains the point whose
+        coordinates, in the order of ``variables``, are ``coords``, each
         evaluated on its own: no support test and no agreement check."""
         out = []
-        coordinates = self._compiled[0]
-        for i, num, den in self._containing(coordinates(point)):
+        for i, num, den in self._containing(coords):
             value, rem = divmod(num, den)
             if rem:
-                raise PieceAgreementError(f"non-integral value {Fraction(num, den)} at {dict(point)}")
+                raise PieceAgreementError(
+                    f"non-integral value {Fraction(num, den)} at {point_of(self.variables, coords)}")
             out.append((i, value))
         return out
+
+    def evaluate(self, point: Mapping[str, int]) -> tuple[int, int | None]:
+        """``evaluate_at`` at the point of a mapping from variable names."""
+        return self.evaluate_at(self._compiled[0](point))
+
+    def values(self, point: Mapping[str, int]) -> list[tuple[int, int]]:
+        """``values_at`` at the point of a mapping from variable names."""
+        return self.values_at(self._compiled[0](point))
 
 
 def point_of(variables, values) -> dict[str, int]:
@@ -728,12 +746,15 @@ def verify_family(family: str, bound: int):
     """Scan all integer points with coordinates in [0, bound]; return the first
     (point, table value, enumeration value) mismatch, or None.
 
-    A full table's last variable is the threshold c, and it is read through
-    ``evaluate`` at every point; the samples have no c (their threshold is 0)
-    and cover part of their support, so every containing piece is checked.
-    The scan enumerates one histogram per ``_symmetry_class`` of (lam, mu),
-    the first time a value of the class is checked, and reads every
-    threshold from it, in the same point order as a per-point scan.
+    The scan reads coordinate tuples, in the table's variable order, and
+    builds a point's mapping only for the mismatch it returns.  A full
+    table's last variable is the threshold c, and it is read through
+    ``evaluate_at`` at every point; the samples have no c (their threshold
+    is 0) and cover part of their support, so every containing piece is
+    checked, through ``values_at``.  The scan enumerates one histogram per
+    ``_symmetry_class`` of (lam, mu), the first time a value of the class is
+    checked, and reads every threshold from it, in the same point order as a
+    per-point scan.
     """
     if bound < 0:
         raise ValueError("verify range must be nonnegative")
@@ -745,8 +766,8 @@ def verify_family(family: str, bound: int):
     for coords in product(range(bound + 1), repeat=len(f.variables) - full):
         truth = None
         for c in thresholds:
-            point = point_of(f.variables, coords + (c,) * full)
-            values = [f.evaluate(point)[0]] if full else [v for _, v in f.values(point)]
+            x = coords + (c,) * full
+            values = [f.evaluate_at(x)[0]] if full else [v for _, v in f.values_at(x)]
             if values and truth is None:
                 lam, mu = pair(coords)
                 key = _symmetry_class(lam, mu)
@@ -756,7 +777,7 @@ def verify_family(family: str, bound: int):
                 truth = truths[key]
             for value in values:
                 if value != truth[c]:
-                    return point, value, truth[c]
+                    return point_of(f.variables, x), value, truth[c]
     return None
 
 

@@ -137,6 +137,13 @@ def test_quasi_polynomial_branches():
     for v in (-3, 0, 4, 5):
         assert one.evaluate({"x": v}) == (v + 1, 0)
         assert one.values({"x": v}) == [(0, v + 1)]
+    # a zero branch reads no monomial, and the branch x reads one
+    zero = _everywhere(QuasiPolynomial(2, x, (x - x, x)))
+    assert zero.pieces[0][1].branches[0].numerators == ()
+    for v in (-3, -2, 0, 4, 5):
+        value = v if v % 2 else 0
+        assert zero.evaluate({"x": v}) == zero.evaluate_at((v,)) == (value, 0)
+        assert zero.values({"x": v}) == zero.values_at((v,)) == [(0, value)]
 
 
 def test_gl3_table_structure():
@@ -537,19 +544,26 @@ def _ref_evaluate(f, point, hits):
 
 
 def _assert_matches_reference(f, point):
-    """Check ``evaluate`` and ``values`` at ``point``; return the reference hits."""
+    """Check ``evaluate`` and ``values`` at ``point``, and ``evaluate_at`` and
+    ``values_at`` at its coordinate tuple; return the reference hits."""
     hits = _ref_hits(f, point)
-    assert _outcome(lambda: f.evaluate(point)) == _outcome(lambda: _ref_evaluate(f, point, hits)), point
-    assert _outcome(lambda: f.values(point)) == _outcome(lambda: _ref_values(hits, point)), point
+    coords = tuple(point[v] for v in f.variables)
+    expected = _outcome(lambda: _ref_evaluate(f, point, hits))
+    assert _outcome(lambda: f.evaluate(point)) == expected, point
+    assert _outcome(lambda: f.evaluate_at(coords)) == expected, point
+    expected = _outcome(lambda: _ref_values(hits, point))
+    assert _outcome(lambda: f.values(point)) == expected, point
+    assert _outcome(lambda: f.values_at(coords)) == expected, point
     return hits
 
 
 @pytest.mark.parametrize("family", sorted(piecewise.FAMILIES))
 def test_every_small_point_matches_fraction_reference(family):
     """The compiled kernel (sign masks, the hits memo, monomial slots) against
-    the Fraction reference at every point of [-1, 4]^5: values, piece
-    indices, and each PieceAgreementError message.  The points reach every
-    branch of every piece, the samples' mod-2 piece included."""
+    the Fraction reference at every point of [-1, 4]^5, read as a mapping and
+    as a coordinate tuple: values, piece indices, and each
+    PieceAgreementError message.  The points reach every branch of every
+    piece, the samples' mod-2 piece included."""
     f = family_function(family)
     branches_hit = set()
     for coords in product(range(-1, 5), repeat=len(f.variables)):

@@ -51,6 +51,36 @@ def test_piecewise_table_parts_do_not_evaluate():
             assert not hasattr(part, name), (part, name)
 
 
+def test_piecewise_table_evaluated_by_its_own_methods():
+    """Only ``PiecewiseFunction``'s own methods read its compiled form
+    (``_compiled``) or its kernel (``_containing``); everything else,
+    ``verify_family`` included, evaluates through ``evaluate_at`` and
+    ``values_at`` or their mapping adapters, so no second evaluator grows
+    beside them."""
+    internal = {"_compiled", "_containing"}
+    inside, outside = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "PiecewiseFunction"
+               for method in cls.body if isinstance(method, ast.FunctionDef)
+               for node in ast.walk(method)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant):  # getattr(f, "_compiled") too
+                name = node.value
+            else:
+                continue
+            if name in internal:
+                if id(node) in own:
+                    inside.add(name)
+                else:
+                    outside.append((path.name, node.lineno, name))
+    assert outside == []
+    assert inside == internal  # the guard reads the names the class uses
+
+
 def test_piecewise_forms_are_polynomials():
     """Cone constraints and selectors are degree-<=1 polynomials, not a
     second algebra type."""
