@@ -23,13 +23,13 @@ from .piecewise import (
     family_function,
     multiplicity_multiset,
     piecewise_to_json,
-    point_of,
     verify_family,
 )
 from .verify import (
     _CHECKS,
     FAIL,
     SweepConfig,
+    _summary_json,
     compare,
     reproduce_gl5_counterexample,
     stability_check,
@@ -141,7 +141,7 @@ def _cmd_lr(args) -> int:
 def _cmd_multiset(args) -> int:
     lam, mu = _partition(args, "lam"), _partition(args, "mu")
     ms = multiplicity_multiset(lam, mu)
-    _show(args, {"lambda": list(lam), "mu": list(mu), "multiset": {str(v): k for v, k in ms.counts},
+    _show(args, {"lambda": list(lam), "mu": list(mu), "multiset": _summary_json(ms),
                  "components": ms.components, "mult_sum": ms.mult_sum},
           " ".join(f"{v}:{k}" for v, k in ms.counts))
     return 0
@@ -203,13 +203,12 @@ def _cmd_piecewise(args) -> int:
     if len(coords) != len(f.variables):
         raise ValueError(f"--point for {args.family} needs {len(f.variables)} coordinates "
                          f"({','.join(f.variables)}), got {len(coords)}")
-    point = point_of(f.variables, coords)
     if full:
-        value, index = f.evaluate(point)
+        value, index = f.evaluate_at(coords)
         _show(args, {"point": list(coords), "value": value, "piece": index},
               f"{value} (outside support)" if index is None else f"{value} (piece {index})")
     else:
-        hits = f.values(point)
+        hits = f.values_at(coords)
         _show(args, {"point": list(coords), "pieces": [{"index": i, "value": v} for i, v in hits]},
               "\n".join(f"{v} (piece {i})" for i, v in hits) or "no sample piece contains the point")
     return 0

@@ -18,8 +18,9 @@ coordinates in the table's variable order (``evaluate_at`` and
 ``values_at``; ``evaluate`` and ``values`` read a mapping into one): each
 point's signs on the table's distinct cone forms pack into one mask that
 picks the containing pieces, and each point gets one table of the table's
-monomials, from which every containing piece's branch takes its slots
-through one ``itemgetter``.
+monomials, closed under parents degree by degree, from which every
+containing piece's branch takes its slots as one tuple (``_getter``, the
+one ``itemgetter`` call).
 """
 
 from __future__ import annotations
@@ -42,6 +43,15 @@ Rational = Fraction | int
 
 # ---------------------------------------------------------------------------
 # polynomials with exact rational coefficients
+
+
+def _getter(keys) -> Callable:
+    """``itemgetter(*keys)``, returning a tuple for any number of keys:
+    ``itemgetter`` of one key returns a bare value, and of none is an error."""
+    keys = tuple(keys)
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda items: tuple(items[k] for k in keys)
 
 
 @dataclass(frozen=True)
@@ -131,9 +141,7 @@ class Polynomial:
     def permuted(self, perm: Mapping[str, str]) -> "Polynomial":
         # the exponent of v moves to the position of perm(v)
         target = [self.variables.index(perm.get(v, v)) for v in self.variables]
-        source = sorted(range(len(target)), key=target.__getitem__)
-        # itemgetter of one index returns a bare value; one variable never moves
-        moved = itemgetter(*source) if len(source) > 1 else tuple
+        moved = _getter(sorted(range(len(target)), key=target.__getitem__))
         terms = sorted((moved(e), c) for e, c in self.numerators)
         return Polynomial(self.variables, tuple(terms), self.denominator)
 
@@ -260,30 +268,23 @@ def _monomial_recipe(exponents: Iterable[tuple[int, ...]]) -> tuple[dict, tuple[
     """(slot of each exponent tuple, recipe) of a monomial table.
 
     Slot 0 is the constant 1; recipe entry s - 1 is (parent slot, variable
-    index), and slot s is the parent's monomial times that variable.  Parents
-    are added where missing, and come before their children (slots go by
-    degree), so one pass over the recipe fills the table.
+    index), and slot s is the parent's monomial times that variable: the
+    parent lowers the first nonzero exponent by one.  The exponents are
+    closed under parents one degree at a time, from the top degree down, so
+    a sparse table gets its parent chains and no other monomial.  Slots go
+    by degree, so parents come before their children and one pass over the
+    recipe fills the table.
     """
     def parent(e):
         j = next(j for j, k in enumerate(e) if k)
         return e[:j] + (e[j] - 1,) + e[j + 1:], j
 
     needed = set(exponents)
-    todo = list(needed)
-    while todo:  # close under parents
-        e = todo.pop()
-        if any(e):
-            up, _ = parent(e)
-            if up not in needed:
-                needed.add(up)
-                todo.append(up)
+    for degree in range(max(map(sum, needed), default=0), 0, -1):
+        needed |= {parent(e)[0] for e in needed if sum(e) == degree}
     order = sorted(needed, key=lambda e: (sum(e), e))
     slot = {e: s for s, e in enumerate(order)}
-    recipe = []
-    for e in order[1:]:
-        up, j = parent(e)
-        recipe.append((slot[up], j))
-    return slot, tuple(recipe)
+    return slot, tuple((slot[up], j) for up, j in map(parent, order[1:]))
 
 
 def _distinct(variables) -> tuple[str, ...]:
@@ -326,23 +327,17 @@ class PiecewiseFunction:
         one evaluator of the table, built on the first evaluation, so a table
         never evaluated costs nothing.
 
-        ``coordinates`` reads a point as a tuple in the order of
+        ``coordinates`` reads a mapping as a tuple in the order of
         ``variables``, and the rest refer to variables by position in that
         tuple.  ``forms`` holds each distinct cone form once, as (bit,
         constant, terms), so a point's signs pack into one mask; each cone
         is the mask of its forms' bits, and contains the point when the
         point's mask covers it.  Each piece is (modulus, selector,
         branches).  ``recipe`` builds a point's monomial table (see
-        ``_monomial_recipe``), from which each branch takes its slots.  ``hits``
-        memoizes sign mask -> indices of the containing pieces, ascending.
+        ``_monomial_recipe``), from which each branch takes its slots in
+        one tuple (``_getter``).  ``hits`` memoizes sign mask -> indices of
+        the containing pieces, ascending.
         """
-        if len(self.variables) > 1:
-            coordinates = itemgetter(*self.variables)
-        else:  # itemgetter of one name returns its bare value, not a 1-tuple
-
-            def coordinates(point: Mapping[str, int]) -> tuple[int, ...]:
-                return tuple(point[v] for v in self.variables)
-
         # pieces share forms and exponent tuples: compile each one once
         bits = {form: 1 << b for b, form in enumerate(
             dict.fromkeys(form for cone, _ in self.pieces for form in cone.constraints))}
@@ -351,21 +346,14 @@ class PiecewiseFunction:
             e for _, q in self.pieces for b in q.branches for e, _ in b.numerators)
 
         def branch(p: Polynomial) -> IndexedBranch:
-            slots = tuple(slot[e] for e, _ in p.numerators)
-            if len(slots) > 1:
-                take = itemgetter(*slots)
-            else:  # itemgetter of one index returns its bare value, and of none is an error
-
-                def take(monomials: list[int]) -> tuple[int, ...]:
-                    return tuple(monomials[s] for s in slots)
-
-            return p.denominator, tuple(c for _, c in p.numerators), take
+            return (p.denominator, tuple(c for _, c in p.numerators),
+                    _getter(slot[e] for e, _ in p.numerators))
 
         cones = tuple(sum(bits[form] for form in cone.constraints) for cone, _ in self.pieces)
         pieces = tuple((q.modulus, _affine(q.selector), tuple(map(branch, q.branches)))
                        for _, q in self.pieces)
-        return (coordinates, tuple(map(_affine, self.support.constraints)), forms, cones, pieces,
-                recipe, {})
+        return (_getter(self.variables), tuple(map(_affine, self.support.constraints)), forms, cones,
+                pieces, recipe, {})
 
     def _containing(self, coords: tuple[int, ...]) -> list[tuple[int, int, int]]:
         """(index, numerator, denominator) of every piece whose cone contains

@@ -23,6 +23,7 @@ from lrhive.piecewise import (
     Polynomial,
     QuasiPolynomial,
     TranscriptionError,
+    _monomial_recipe,
     _orbit_table,
     binom3,
     count_above_enum,
@@ -608,6 +609,27 @@ def test_evaluated_table_pickles_without_compiled_form():
         value = f.evaluate(point)
         assert pickle.dumps(f) == fresh
         assert pickle.loads(fresh).evaluate(point) == value
+
+
+def test_monomial_recipe_closes_sparse_exponents_under_parents():
+    """A sparse monomial gets its parent chain and nothing else: the parent
+    lowers the first nonzero exponent by one.  Slot 0 is the constant,
+    slots go by degree, and each recipe entry's parent slot comes before
+    its own, so one pass fills the table."""
+    slot, recipe = _monomial_recipe({(0, 3, 1)})
+    assert set(slot) == {(0, 3, 1), (0, 2, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0)}
+    order = sorted(slot, key=slot.get)
+    assert order[0] == (0, 0, 0) and sorted(slot.values()) == list(range(len(slot)))
+    assert [sum(e) for e in order] == sorted(sum(e) for e in order)
+    assert len(recipe) == len(order) - 1
+    for s, (up, j) in enumerate(recipe, start=1):
+        assert up < s
+        assert order[s] == tuple(k + (i == j) for i, k in enumerate(order[up]))
+    # and the compiled table evaluates the sparse branch y^3 z
+    y, z = (Polynomial.var(("x", "y", "z"), v) for v in "yz")
+    f = PiecewiseFunction(("x", "y", "z"), Cone.make([]),
+                          ((Cone.make([]), QuasiPolynomial.plain(y ** 3 * z)),))
+    assert f.evaluate_at((7, 2, 5)) == (40, 0)
 
 
 def test_branch_over_other_variables_rejected():

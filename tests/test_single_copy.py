@@ -2,8 +2,8 @@
 ``partitions.common_rank`` (the tableaux oracle keeps its own, being
 independent on purpose), the CLI declares ``--json`` in one place and picks
 between JSON and text in one helper, a piecewise table is evaluated only
-through its compiled form, and its forms and polynomials share one algebra
-type."""
+through its compiled form, which reads tuples through one getter, and its
+forms and polynomials share one algebra type."""
 
 import ast
 from pathlib import Path
@@ -79,6 +79,23 @@ def test_piecewise_table_evaluated_by_its_own_methods():
                     outside.append((path.name, node.lineno, name))
     assert outside == []
     assert inside == internal  # the guard reads the names the class uses
+
+
+def test_itemgetter_called_only_in_getter():
+    """``itemgetter`` of one key returns a bare value, not a 1-tuple, so
+    ``piecewise._getter`` is the one place that calls it and every reader
+    of tuples goes through that rule."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):  # outer functions first, so the innermost wins
+            if isinstance(func, ast.FunctionDef):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        calls += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "itemgetter" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == [("piecewise.py", "_getter")]
 
 
 def test_piecewise_forms_are_polynomials():
