@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from . import TABLES_REVISION, __version__
 from .coefficients import METHODS, lr_coefficient
-from .horn import facet_system, hilbert_generators
 from .partitions import Partition
 from .piecewise import (
     FAMILIES,
@@ -163,6 +162,10 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_horn(args) -> int:
+    # imported here: building the facet systems and generators costs every
+    # other command ~4 ms of start-up
+    from .horn import facet_system, hilbert_generators
+
     if args.generators:
         gens = hilbert_generators(args.family)
         rows = [{"lambda": list(g.lam), "mu": list(g.mu), "nu": list(g.nu),

@@ -8,8 +8,8 @@ and cone membership depend on the ambient rank.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 
 @dataclass(frozen=True)

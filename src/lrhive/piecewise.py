@@ -26,13 +26,13 @@ one ``itemgetter`` call).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Mapping
 
 from .coefficients import lr_coefficient
 from .partitions import Partition, dual_parts, enumerate_nu_candidates, padded_parts
@@ -139,11 +139,20 @@ class Polynomial:
         return out
 
     def permuted(self, perm: Mapping[str, str]) -> "Polynomial":
-        # the exponent of v moves to the position of perm(v)
-        target = [self.variables.index(perm.get(v, v)) for v in self.variables]
-        moved = _getter(sorted(range(len(target)), key=target.__getitem__))
+        moved = _mover(self.variables, tuple(perm.items()))
         terms = sorted((moved(e), c) for e, c in self.numerators)
         return Polynomial(self.variables, tuple(terms), self.denominator)
+
+
+@lru_cache(maxsize=None)
+def _mover(variables: tuple[str, ...], perm: tuple[tuple[str, str], ...]) -> Callable:
+    """The reader of an exponent tuple over ``variables`` that moves the
+    exponent of v to the position of perm(v), built once per (variables,
+    permutation): a table build permutes each branch and form by the few
+    permutations of its group."""
+    perm = dict(perm)
+    target = [variables.index(perm.get(v, v)) for v in variables]
+    return _getter(sorted(range(len(target)), key=target.__getitem__))
 
 
 def binom3(expr: Polynomial) -> Polynomial:
@@ -336,12 +345,14 @@ class PiecewiseFunction:
         branches).  ``recipe`` builds a point's monomial table (see
         ``_monomial_recipe``), from which each branch takes its slots in
         one tuple (``_getter``).  ``hits`` memoizes sign mask -> indices of
-        the containing pieces, ascending.
+        the containing pieces, ascending.  ``support`` and ``forms`` go in
+        ascending (constant, terms), so every process compiles the same
+        order: a frozenset's iteration order follows the string hash seed.
         """
         # pieces share forms and exponent tuples: compile each one once
-        bits = {form: 1 << b for b, form in enumerate(
-            dict.fromkeys(form for cone, _ in self.pieces for form in cone.constraints))}
-        forms = tuple((bit, *_affine(form)) for form, bit in bits.items())
+        affine = {form: _affine(form) for form in {f for cone, _ in self.pieces for f in cone.constraints}}
+        bits = {form: 1 << b for b, form in enumerate(sorted(affine, key=affine.get))}
+        forms = tuple((bit, *affine[form]) for form, bit in bits.items())
         slot, recipe = _monomial_recipe(
             e for _, q in self.pieces for b in q.branches for e, _ in b.numerators)
 
@@ -352,8 +363,8 @@ class PiecewiseFunction:
         cones = tuple(sum(bits[form] for form in cone.constraints) for cone, _ in self.pieces)
         pieces = tuple((q.modulus, _affine(q.selector), tuple(map(branch, q.branches)))
                        for _, q in self.pieces)
-        return (_getter(self.variables), tuple(map(_affine, self.support.constraints)), forms, cones,
-                pieces, recipe, {})
+        return (_getter(self.variables), tuple(sorted(map(_affine, self.support.constraints))), forms,
+                cones, pieces, recipe, {})
 
     def _containing(self, coords: tuple[int, ...]) -> list[tuple[int, int, int]]:
         """(index, numerator, denominator) of every piece whose cone contains

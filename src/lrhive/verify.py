@@ -10,8 +10,6 @@ with no hypothesis on lam.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from dataclasses import MISSING, dataclass, fields
@@ -257,6 +255,9 @@ class VerificationReport:
         return json.dumps(self.as_json(), indent=2, sort_keys=True) + "\n"
 
     def to_csv_text(self) -> str:
+        import csv  # imported here: only a CSV report reads it
+        import io
+
         buf = io.StringIO()
         fields = ["lambda", "mu", "n", "check", "status", "left", "right", "witness", "micros"]
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")

@@ -410,6 +410,17 @@ def test_cli_import_leaves_process_pool_out():
     assert result.returncode == 0
 
 
+def test_cli_import_leaves_unused_modules_out():
+    """Importing the CLI loads neither the Horn data, which only ``horn``
+    reads, nor ``csv``, which only a CSV sweep report writes, nor ``typing``.
+    ``-S`` keeps out the site hook, which may import ``typing`` itself."""
+    src = os.path.dirname(os.path.dirname(lrhive.__file__))
+    code = "import sys, lrhive.cli; print(sorted({'lrhive.horn', 'csv', 'typing'} & sys.modules.keys()))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv", [
     ["multiset", "--lambda", "5,3", "--mu", "6,3", "--n", "3"],  # a few bytes

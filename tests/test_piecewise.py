@@ -1,7 +1,10 @@
 """Tests for the piecewise (quasi-)polynomial machinery and tables."""
 
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -609,6 +612,21 @@ def test_evaluated_table_pickles_without_compiled_form():
         value = f.evaluate(point)
         assert pickle.dumps(f) == fresh
         assert pickle.loads(fresh).evaluate(point) == value
+
+
+def test_compiled_order_does_not_follow_the_hash_seed():
+    """The compiled support forms, sign-mask forms and cone masks are the
+    same in processes with different string hash seeds, though the cones
+    hold their forms in frozensets."""
+    src = os.path.dirname(os.path.dirname(piecewise.__file__))
+    code = ("from lrhive.piecewise import family_function\n"
+            "for family in ('gl3', 'gl4nr2'):\n"
+            "    print(family, family_function(family)._compiled[1:4])")
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                           timeout=120, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 2
 
 
 def test_monomial_recipe_closes_sparse_exponents_under_parents():
