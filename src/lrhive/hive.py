@@ -14,10 +14,9 @@ coefficient c_{lam,mu}^nu (Knutson-Tao).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import Partition, common_rank, is_near_rectangular, padded
+from .partitions import Partition, Record, common_rank, is_near_rectangular, padded
 
 Vertex = tuple[int, int]
 
@@ -54,11 +53,13 @@ def hive_boundary(lam: Partition, mu: Partition, nu: Partition) -> list[list[int
     return rows
 
 
-@dataclass(frozen=True)
-class Hive:
+class Hive(Record):
     """A fully labeled hive, stored as rows from the apex down."""
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:

@@ -9,9 +9,7 @@ Hilbert-basis generators are transcribed and re-verified, not computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .partitions import Partition, is_near_rectangular
+from .partitions import Partition, Record, is_near_rectangular
 
 # A facet is (name, coeffs) with coeffs over (l1..l4, m1..m4, n1..n4),
 # interpreted as coeffs . x >= 0.
@@ -83,12 +81,12 @@ assert len(_NR2_FACETS) == 11
 assert len(_NR_FACETS) == 32
 
 
-@dataclass(frozen=True)
-class RayGenerator:
-    lam: Partition
-    mu: Partition
-    nu: Partition
-    description: str
+class RayGenerator(Record):
+    _fields = ("lam", "mu", "nu", "description")
+
+    def __init__(self, lam: Partition, mu: Partition, nu: Partition, description: str):
+        for name, value in zip(self._fields, (lam, mu, nu, description)):
+            object.__setattr__(self, name, value)
 
 
 def _ray(lam, mu, nu, desc) -> RayGenerator:
@@ -122,8 +120,7 @@ _NR_GENERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class FacetSystem:
+class FacetSystem(Record):
     """Named list of linear facets over (lam, mu, nu) plus the balance
     equality, with the Hilbert-basis generators of its face.
 
@@ -132,10 +129,12 @@ class FacetSystem:
     ``mu_near_rectangular`` is set.
     """
 
-    name: str
-    facets: tuple[Facet, ...]
-    mu_near_rectangular: bool
-    generators: tuple[RayGenerator, ...]
+    _fields = ("name", "facets", "mu_near_rectangular", "generators")
+
+    def __init__(self, name: str, facets: tuple[Facet, ...], mu_near_rectangular: bool,
+                 generators: tuple[RayGenerator, ...]):
+        for field, value in zip(self._fields, (name, facets, mu_near_rectangular, generators)):
+            object.__setattr__(self, field, value)
 
     def violated(self, lam: Partition, mu: Partition, nu: Partition) -> list[int]:
         """Indices of violated facets; the balance equality is index -1.

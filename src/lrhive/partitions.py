@@ -9,17 +9,53 @@ and cone membership depend on the ambient rank.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Partition:
+class Record:
+    """A frozen value with named fields, the base of every lrhive record.
+
+    A subclass names its fields in ``_fields`` and sets them, in its own
+    ``__init__``, with ``object.__setattr__``.  Equality, hash and repr read
+    the fields in that order, and records of different classes are never
+    equal.  A record keeps a ``__dict__``, so ``cached_property`` and
+    unpickling, which write to it directly, still work.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # the field values as one tuple: attrgetter of one name returns it bare
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(Record):
     """A partition with exactly ``n`` parts, zero-padded and weakly decreasing."""
 
-    parts: tuple[int, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
         object.__setattr__(self, "parts", parts)
         if len(parts) < 1:
             raise ValueError("a partition needs rank n >= 1")

@@ -11,23 +11,22 @@ of (lam, mu) under swapping the factors and dualizing both.  One algebra type,
 ``Polynomial``, holds the branches and, at degree <= 1 with integer
 coefficients, every cone constraint and selector, so a transcription reads
 as its printed inequality (``k1 + k2 - l1 - c``) and one ``permuted`` moves
-walls and branches alike.  The dataclasses hold a table for building, orbit
-expansion, deduplication by value and JSON; the only way to evaluate one is
-its compiled form, built on first use, which reads a point as a tuple of
-coordinates in the table's variable order (``evaluate_at`` and
-``values_at``; ``evaluate`` and ``values`` read a mapping into one): each
-point's signs on the table's distinct cone forms pack into one mask that
-picks the containing pieces, and each point gets one table of the table's
-monomials, closed under parents degree by degree, from which every
-containing piece's branch takes its slots as one tuple (``_getter``, the
-one ``itemgetter`` call).
+walls and branches alike.  The frozen records (``partitions.Record``) hold a
+table for building, orbit expansion, deduplication by value and JSON; the
+only way to evaluate one is its compiled form, built on first use, which
+reads a point as a tuple of coordinates in the table's variable order
+(``evaluate_at`` and ``values_at``; ``evaluate`` and ``values`` read a
+mapping into one): each point's signs on the table's distinct cone forms
+pack into one mask that picks the containing pieces, and each point gets one
+table of the table's monomials, closed under parents degree by degree, from
+which every containing piece's branch takes its slots as one tuple
+(``_getter``, the one ``itemgetter`` call).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -35,7 +34,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .coefficients import lr_coefficient
-from .partitions import Partition, dual_parts, enumerate_nu_candidates, padded_parts
+from .partitions import Partition, Record, dual_parts, enumerate_nu_candidates, padded_parts
 from .product import _lr_counts
 
 Rational = Fraction | int
@@ -54,8 +53,7 @@ def _getter(keys) -> Callable:
     return lambda items: tuple(items[k] for k in keys)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Multivariate polynomial over ``variables``: the sum of
     numerator * x**exponents, divided by ``denominator``.
 
@@ -64,9 +62,14 @@ class Polynomial:
     evaluates it: an integer sum followed by one exact division.
     """
 
-    variables: tuple[str, ...]
-    numerators: tuple[tuple[tuple[int, ...], int], ...]  # sorted by exponents, no zeros
-    denominator: int = 1
+    _fields = ("variables", "numerators", "denominator")
+
+    def __init__(self, variables: tuple[str, ...],
+                 numerators: tuple[tuple[tuple[int, ...], int], ...],  # sorted by exponents, no zeros
+                 denominator: int = 1):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
     def _reduced(cls, variables, acc: Mapping[tuple[int, ...], int], den: int) -> "Polynomial":
@@ -174,8 +177,7 @@ def _linear_form(p: Polynomial) -> Polynomial:
     return p
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """Closed polyhedral cone: each constraint, a linear form, read as >= 0.
 
     ``make`` checks each form with ``_linear_form`` and stores it divided by
@@ -183,7 +185,10 @@ class Cone:
     as one.
     """
 
-    constraints: frozenset[Polynomial]
+    _fields = ("constraints",)
+
+    def __init__(self, constraints: frozenset[Polynomial]):
+        object.__setattr__(self, "constraints", constraints)
 
     @classmethod
     def make(cls, constraints: Iterable[Polynomial]) -> "Cone":
@@ -200,23 +205,23 @@ class Cone:
         return Cone(frozenset(c.permuted(perm) for c in self.constraints))
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Record):
     """m branch polynomials selected by (selector value) mod m; m = 1 is plain.
 
     The selector is a linear form with integer coefficients (checked with
     ``_linear_form``), kept as written: its value mod m picks the branch.
     """
 
-    modulus: int
-    selector: Polynomial
-    branches: tuple[Polynomial, ...]
+    _fields = ("modulus", "selector", "branches")
 
-    def __post_init__(self):
-        _linear_form(self.selector)
-        if type(self.modulus) is not int or self.modulus < 1 or len(self.branches) != self.modulus:
-            raise ValueError(f"a quasi-polynomial of modulus {self.modulus} needs that many "
-                             f"branches (>= 1), not {len(self.branches)}")
+    def __init__(self, modulus: int, selector: Polynomial, branches: tuple[Polynomial, ...]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "selector", selector)
+        object.__setattr__(self, "branches", branches)
+        _linear_form(selector)
+        if type(modulus) is not int or modulus < 1 or len(branches) != modulus:
+            raise ValueError(f"a quasi-polynomial of modulus {modulus} needs that many "
+                             f"branches (>= 1), not {len(branches)}")
 
     @classmethod
     def plain(cls, poly: Polynomial) -> "QuasiPolynomial":
@@ -303,25 +308,25 @@ def _distinct(variables) -> tuple[str, ...]:
     return variables
 
 
-@dataclass(frozen=True)
-class PiecewiseFunction:
+class PiecewiseFunction(Record):
     """Raises ValueError on repeated variables, and on a form or branch
     over other variables."""
 
-    variables: tuple[str, ...]
-    support: Cone
-    pieces: tuple[Piece, ...]
+    _fields = ("variables", "support", "pieces")
 
-    def __post_init__(self):
-        _distinct(self.variables)
-        branches = [branch for _, q in self.pieces for branch in q.branches]
-        forms = [*self.support.constraints,
-                 *(form for cone, q in self.pieces for form in (*cone.constraints, q.selector))]
+    def __init__(self, variables: tuple[str, ...], support: Cone, pieces: tuple[Piece, ...]):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "pieces", pieces)
+        _distinct(variables)
+        branches = [branch for _, q in pieces for branch in q.branches]
+        forms = [*support.constraints,
+                 *(form for cone, q in pieces for form in (*cone.constraints, q.selector))]
         for kind, parts in (("branch", branches), ("form", forms)):
             for p in parts:
-                if p.variables != self.variables:
+                if p.variables != variables:
                     raise ValueError(f"a {kind} over {list(p.variables)} in a table over "
-                                     f"{list(self.variables)}")
+                                     f"{list(variables)}")
 
     def __getstate__(self):
         """Pickle the table without its compiled form, which the copy
@@ -473,11 +478,13 @@ def permutation_group(generators: Iterable[Mapping[str, str]], variables) -> lis
 # enumeration ground truth
 
 
-@dataclass(frozen=True)
-class MultiplicityMultiset:
+class MultiplicityMultiset(Record):
     """Histogram of positive coefficient values over all nu for fixed (lam, mu)."""
 
-    counts: tuple[tuple[int, int], ...]  # (value, number of nu), sorted
+    _fields = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[int, int], ...]):  # (value, number of nu), sorted
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def make(cls, counts: Mapping[int, int]) -> "MultiplicityMultiset":

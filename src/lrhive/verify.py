@@ -12,31 +12,26 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import MISSING, dataclass, fields
 from itertools import repeat
 from operator import attrgetter
 
 from .formulas import nr_coefficient
 from .hive import count_hives
-from .partitions import (Partition, bar_reduce, common_rank, dual_star, is_near_rectangular,
+from .partitions import (Partition, Record, bar_reduce, common_rank, dual_star, is_near_rectangular,
                          padded, partitions_of)
 from .piecewise import multiplicity_multiset
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # PASS | FAIL | SKIP
-    check: str
-    lam: Partition
-    mu: Partition
-    left: object = None
-    right: object = None
-    witness: str | None = None
+class Verdict(Record):
+    _fields = ("status", "check", "lam", "mu", "left", "right", "witness")  # status: PASS | FAIL | SKIP
 
-    def __post_init__(self):
-        if self.status == FAIL and self.witness is None:
+    def __init__(self, status: str, check: str, lam: Partition, mu: Partition,
+                 left: object = None, right: object = None, witness: str | None = None):
+        for name, value in zip(self._fields, (status, check, lam, mu, left, right, witness)):
+            object.__setattr__(self, name, value)
+        if status == FAIL and witness is None:
             raise ValueError("FAIL verdicts must carry a witness")
 
     def as_json(self) -> dict:
@@ -155,19 +150,19 @@ def _nested_ints(value, depth: int):
     return None if None in out else out
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n: int
-    max_nr: int  # bound on max(lam1 - lam2, lam2)
-    max_mu_size: int
-    check: str  # a name in _CHECKS
-    jobs: int = 1
-    output_path: str | None = None
-    output_format: str = "json"  # json | csv
-    extra_cases: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
-    expected_fail_lambdas: tuple[tuple[int, ...], ...] = ()
+class SweepConfig(Record):
+    _fields = ("n", "max_nr", "max_mu_size", "check", "jobs", "output_path", "output_format",
+               "extra_cases", "expected_fail_lambdas")
 
-    def __post_init__(self):
+    def __init__(self, n: int, max_nr: int, max_mu_size: int, check: str, jobs: int = 1,
+                 output_path: str | None = None, output_format: str = "json",
+                 extra_cases: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = (),
+                 expected_fail_lambdas: tuple[tuple[int, ...], ...] = ()):
+        # max_nr bounds max(lam1 - lam2, lam2); check is a name in _CHECKS;
+        # output_format is json | csv
+        for name, value in zip(self._fields, (n, max_nr, max_mu_size, check, jobs, output_path,
+                                              output_format, extra_cases, expected_fail_lambdas)):
+            object.__setattr__(self, name, value)
         for name in ("n", "max_nr", "max_mu_size", "jobs"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
@@ -199,7 +194,7 @@ class SweepConfig:
 
     def as_json(self) -> dict:
         """Every field but output_path, with the tuple fields as lists."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_path"}
+        out = {name: getattr(self, name) for name in self._fields if name != "output_path"}
         out["extra_cases"] = [[list(l), list(m)] for l, m in self.extra_cases]
         out["expected_fail_lambdas"] = [list(l) for l in self.expected_fail_lambdas]
         return out
@@ -208,20 +203,23 @@ class SweepConfig:
     def from_json(cls, d: dict) -> "SweepConfig":
         if not isinstance(d, dict):
             raise ValueError(f"sweep config must be a JSON object, not {type(d).__name__}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        unknown = sorted(set(d) - set(cls._fields))
         if unknown:
             raise ValueError(f"unknown sweep config key(s): {', '.join(map(repr, unknown))}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        required = cls._fields[:-len(cls.__init__.__defaults__)]  # the fields with no default
+        missing = [name for name in required if name not in d]
         if missing:
             raise ValueError(f"missing sweep config key(s): {', '.join(map(repr, missing))}")
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    config: SweepConfig
-    verdicts: tuple[Verdict, ...]
-    version: str
+class VerificationReport(Record):
+    _fields = ("config", "verdicts", "version")
+
+    def __init__(self, config: SweepConfig, verdicts: tuple[Verdict, ...], version: str):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "version", version)
 
     @property
     def passes(self) -> int:

@@ -412,13 +412,16 @@ def test_cli_import_leaves_process_pool_out():
 
 def test_cli_import_leaves_unused_modules_out():
     """Importing the CLI loads neither the Horn data, which only ``horn``
-    reads, nor ``csv``, which only a CSV sweep report writes, nor ``typing``.
+    reads, nor ``csv``, which only a CSV sweep report writes, nor ``typing``;
+    no lrhive module loads ``dataclasses`` or, through it, ``inspect``.
     ``-S`` keeps out the site hook, which may import ``typing`` itself."""
     src = os.path.dirname(os.path.dirname(lrhive.__file__))
-    code = "import sys, lrhive.cli; print(sorted({'lrhive.horn', 'csv', 'typing'} & sys.modules.keys()))"
-    result = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
-                            capture_output=True, text=True, timeout=120)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    for module, unused in (("lrhive.cli", ["csv", "dataclasses", "inspect", "lrhive.horn", "typing"]),
+                           ("lrhive.horn", ["dataclasses", "inspect"])):
+        code = f"import sys, {module}; print(sorted(set({unused!r}) & sys.modules.keys()))"
+        result = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, timeout=120)
+        assert (module, result.returncode, result.stdout, result.stderr) == (module, 0, "[]\n", "")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

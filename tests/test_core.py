@@ -148,3 +148,75 @@ def test_rank_mismatch_message(name):
         with pytest.raises(ValueError) as exc:
             func(*args)
         assert str(exc.value) == "rank mismatch", (name, odd)
+
+
+# One record of each frozen value class, its fields, its constructor's
+# defaults and its repr: the value semantics every module relies on.
+def _records():
+    from fractions import Fraction
+
+    from lrhive.horn import FacetSystem, RayGenerator
+
+    x = piecewise.Polynomial.var(("x",), "x")
+    lam, mu = Partition((2, 1, 0)), Partition((1, 0, 0))
+    cfg = verify.SweepConfig(3, 2, 4, "conj2", extra_cases=[[[2, 1, 0], [1, 0, 0]]])
+    verdict = verify.Verdict("FAIL", "conj2", lam, mu, 3, 2, "component counts 3 != 2")
+    ray = RayGenerator(lam, mu, Partition((2, 2, 0)), "V(2^2) in V(2 1)xV(1)")
+    p = "Polynomial(variables=('x',), numerators={}, denominator=1)".format
+    part = "Partition(parts={})".format
+    cfg_repr = ("SweepConfig(n=3, max_nr=2, max_mu_size=4, check='conj2', jobs=1, output_path=None, "
+                "output_format='json', extra_cases=(((2, 1, 0), (1, 0, 0)),), expected_fail_lambdas=())")
+    verdict_repr = (f"Verdict(status='FAIL', check='conj2', lam={part((2, 1, 0))}, mu={part((1, 0, 0))}, "
+                    "left=3, right=2, witness='component counts 3 != 2')")
+    ray_repr = (f"RayGenerator(lam={part((2, 1, 0))}, mu={part((1, 0, 0))}, nu={part((2, 2, 0))}, "
+                "description='V(2^2) in V(2 1)xV(1)')")
+    return [
+        (Partition((8, 5, 3, 1, 0, 0)), {}, "Partition(parts=(8, 5, 3, 1, 0, 0))"),
+        (hive.Hive(((0,), (2, 3), (3, 5, 6))), {}, "Hive(rows=((0,), (2, 3), (3, 5, 6)))"),
+        (piecewise.Polynomial.make(("x",), {(1,): Fraction(1, 2), (0,): 3}), {"denominator": 1},
+         "Polynomial(variables=('x',), numerators=(((0,), 6), ((1,), 1)), denominator=2)"),
+        (piecewise.Cone.make([2 * x - 4]), {}, f"Cone(constraints=frozenset({{{p('(((0,), -2), ((1,), 1))')}}}))"),
+        (piecewise.QuasiPolynomial(2, x, (x, x - 1)), {},
+         f"QuasiPolynomial(modulus=2, selector={p('(((1,), 1),)')}, "
+         f"branches=({p('(((1,), 1),)')}, {p('(((0,), -1), ((1,), 1))')}))"),
+        (piecewise.PiecewiseFunction(("x",), piecewise.Cone.make([x]),
+                                     ((piecewise.Cone.make([x - 1]), piecewise.QuasiPolynomial.plain(x * x)),)),
+         {}, f"PiecewiseFunction(variables=('x',), support=Cone(constraints=frozenset({{{p('(((1,), 1),)')}}})), "
+             f"pieces=((Cone(constraints=frozenset({{{p('(((0,), -1), ((1,), 1))')}}})), "
+             f"QuasiPolynomial(modulus=1, selector={p('()')}, branches=({p('(((2,), 1),)')},))),))"),
+        (piecewise.MultiplicityMultiset(((1, 3), (2, 1))), {}, "MultiplicityMultiset(counts=((1, 3), (2, 1)))"),
+        (verdict, {"left": None, "right": None, "witness": None}, verdict_repr),
+        (cfg, {"jobs": 1, "output_path": None, "output_format": "json", "extra_cases": (),
+               "expected_fail_lambdas": ()}, cfg_repr),
+        (verify.VerificationReport(cfg, (verdict,), "1.0"), {},
+         f"VerificationReport(config={cfg_repr}, verdicts=({verdict_repr},), version='1.0')"),
+        (ray, {}, ray_repr),
+        (FacetSystem("toy", (("+lam1", (1,) + (0,) * 11),), True, (ray,)), {},
+         "FacetSystem(name='toy', facets=(('+lam1', (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),), "
+         f"mu_near_rectangular=True, generators=({ray_repr},))"),
+    ]
+
+
+@pytest.mark.parametrize("record, defaults, text", _records(), ids=lambda v: type(v).__name__)
+def test_record_value_semantics(record, defaults, text):
+    """Each record is a frozen value: its repr, hash and equality read its
+    fields in order, it is built by field name, and a pickle copy is equal."""
+    import inspect
+    import pickle
+
+    cls = type(record)
+    params = inspect.signature(cls).parameters
+    names = tuple(params)
+    assert {n: p.default for n, p in params.items() if p.default is not p.empty} == defaults
+    values = tuple(getattr(record, n) for n in names)
+    assert repr(record) == text
+    assert hash(record) == hash(values)
+    copy = cls(**dict(zip(names, values)))
+    assert copy == record and not copy != record and hash(copy) == hash(record)
+    other = type("Other", (cls,), {})(*values)  # another class, equal fields
+    assert record != other and other != record and record != values
+    for change in (lambda: setattr(record, names[0], values[0]), lambda: delattr(record, names[0]),
+                   lambda: setattr(record, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert pickle.loads(pickle.dumps(record)) == record

@@ -757,10 +757,10 @@ def test_verify_family_enumerates_once_per_class(family, bound, monkeypatch):
         return multiplicity_multiset(lam, mu, method)
 
     built = []
-    check = Partition.__post_init__
+    init = Partition.__init__
     family_function(family)  # build the table outside the count
     monkeypatch.setattr(piecewise, "multiplicity_multiset", counted)
-    monkeypatch.setattr(Partition, "__post_init__", lambda p: built.append(p) or check(p))
+    monkeypatch.setattr(Partition, "__init__", lambda p, parts: built.append(p) or init(p, parts))
     assert verify_family(family, bound) is None
     assert len(calls) == len(set(calls)) == HISTOGRAM_COUNTS[family, bound]
     assert len(built) == 2 * len(calls)  # 702 for gl3 @ 5, 152 for gl4nr2 @ 3
