@@ -12,15 +12,17 @@ of (lam, mu) under swapping the factors and dualizing both.  One algebra type,
 coefficients, every cone constraint and selector, so a transcription reads
 as its printed inequality (``k1 + k2 - l1 - c``) and one ``permuted`` moves
 walls and branches alike.  The frozen records (``partitions.Record``) hold a
-table for building, orbit expansion, deduplication by value and JSON; the
-only way to evaluate one is its compiled form, built on first use, which
-reads a point as a tuple of coordinates in the table's variable order
-(``evaluate_at`` and ``values_at``; ``evaluate`` and ``values`` read a
-mapping into one): each point's signs on the table's distinct cone forms
-pack into one mask that picks the containing pieces, and each point gets one
-table of the table's monomials, closed under parents degree by degree, from
-which every containing piece's branch takes its slots as one tuple
-(``_getter``, the one ``itemgetter`` call).
+table for building, orbit expansion, deduplication by value and its JSON
+export (``piecewise_to_json``, the bytes of ``piecewise --dump``; no loader
+reads a table back, the tables live in code); the only way to evaluate one
+is its compiled form, built on first use, which reads a point as a tuple of
+coordinates in the table's variable order (``evaluate_at`` and
+``values_at``; ``evaluate`` and ``values`` read a mapping into one): each
+point's signs on the table's distinct cone forms pack into one mask that
+picks the containing pieces, and each point gets one table of the table's
+monomials, closed under parents degree by degree, from which every
+containing piece's branch takes its slots as one tuple (``_getter``, the
+one ``itemgetter`` call).
 """
 
 from __future__ import annotations
@@ -301,13 +303,6 @@ def _monomial_recipe(exponents: Iterable[tuple[int, ...]]) -> tuple[dict, tuple[
     return slot, tuple((slot[up], j) for up, j in map(parent, order[1:]))
 
 
-def _distinct(variables) -> tuple[str, ...]:
-    variables = tuple(variables)
-    if len(set(variables)) != len(variables):
-        raise ValueError(f"repeated variable in {list(variables)}")
-    return variables
-
-
 class PiecewiseFunction(Record):
     """Raises ValueError on repeated variables, and on a form or branch
     over other variables."""
@@ -318,7 +313,8 @@ class PiecewiseFunction(Record):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "pieces", pieces)
-        _distinct(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"repeated variable in {list(variables)}")
         branches = [branch for _, q in pieces for branch in q.branches]
         forms = [*support.constraints,
                  *(form for cone, q in pieces for form in (*cone.constraints, q.selector))]
@@ -788,7 +784,8 @@ def verify_family(family: str, bound: int):
 
 
 # ---------------------------------------------------------------------------
-# JSON schema (compatibility surface)
+# JSON export, the output of ``piecewise --dump``: tests pin its bytes and
+# read it as the Fraction reference the tables are checked against
 
 
 def _form_to_json(form: Polynomial) -> dict:
@@ -797,21 +794,8 @@ def _form_to_json(form: Polynomial) -> dict:
     return {"coeffs": {v: str(coeffs[v]) for v in sorted(coeffs)}, "constant": str(constant)}
 
 
-def _form_from_json(d: dict, variables) -> Polynomial:
-    terms = {(0,) * len(variables): d["constant"]}
-    for v, c in d["coeffs"].items():
-        if v not in variables:
-            raise ValueError(f"a form names {v!r}, which is not one of {list(variables)}")
-        terms[tuple(int(u == v) for u in variables)] = c
-    return Polynomial.make(variables, terms)
-
-
 def _cone_to_json(cone: Cone) -> dict:
     return {"constraints": sorted((_form_to_json(c) for c in cone.constraints), key=repr)}
-
-
-def _cone_from_json(d: dict, variables) -> Cone:
-    return Cone.make(_form_from_json(c, variables) for c in d["constraints"])
 
 
 def _poly_to_json(p: Polynomial) -> dict:
@@ -821,26 +805,6 @@ def _poly_to_json(p: Polynomial) -> dict:
             for e, c in p.terms
         ]
     }
-
-
-def _exponents_from_json(e, n: int) -> tuple[int, ...]:
-    if type(e) is not list or len(e) != n or any(type(k) is not int or k < 0 for k in e):
-        raise ValueError(f"exponents {e!r} are not {n} nonnegative integers")
-    return tuple(e)
-
-
-def _poly_from_json(d: dict, variables) -> Polynomial:
-    terms = {}
-    for m in d["monomials"]:
-        e = _exponents_from_json(m["exponents"], len(variables))
-        num, den = m["numerator"], m["denominator"]
-        if type(num) is not int or type(den) is not int or not den:
-            raise ValueError(f"a coefficient needs an int numerator and a nonzero int "
-                             f"denominator, not {num!r}/{den!r}")
-        if e in terms:
-            raise ValueError(f"exponents {list(e)} are listed twice")
-        terms[e] = Fraction(num, den)
-    return Polynomial.make(variables, terms)
 
 
 def piecewise_to_json(f: PiecewiseFunction) -> dict:
@@ -857,28 +821,3 @@ def piecewise_to_json(f: PiecewiseFunction) -> dict:
             for cone, q in f.pieces
         ],
     }
-
-
-def piecewise_from_json(d: dict) -> PiecewiseFunction:
-    """The table a ``piecewise_to_json`` dump describes.
-
-    Raises ValueError on any dump that does not describe a table, whether
-    its values are wrong or its structure (a missing key, a number where a
-    list or object belongs).
-    """
-    try:
-        variables = _distinct(d["variables"])  # before any form is read against them
-        pieces = tuple(
-            (
-                _cone_from_json(p["cone"], variables),
-                QuasiPolynomial(
-                    p["modulus"],
-                    _form_from_json(p["selector"], variables),
-                    tuple(_poly_from_json(b, variables) for b in p["branches"]),
-                ),
-            )
-            for p in d["pieces"]
-        )
-        return PiecewiseFunction(variables, _cone_from_json(d["support"], variables), pieces)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed piecewise table: {type(exc).__name__}: {exc}") from None

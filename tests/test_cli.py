@@ -248,15 +248,6 @@ def test_piecewise_negative_verify_range(capsys):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
-def test_piecewise_dump_round_trips(capsys):
-    from lrhive.piecewise import piecewise_from_json, point_of
-
-    code, out = run(capsys, "piecewise", "--family", "gl3", "--dump")
-    assert code == 0
-    f = piecewise_from_json(json.loads(out))
-    assert f.evaluate(point_of(f.variables, (1, 1, 1, 1, 0)))[0] == 5
-
-
 def test_repro_gl5(capsys):
     code, out = run(capsys, "repro-gl5", "--json")
     assert code == 0

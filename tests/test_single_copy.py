@@ -3,15 +3,19 @@
 independent on purpose), the CLI declares ``--json`` in one place and picks
 between JSON and text in one helper, a piecewise table is evaluated only
 through its compiled form, which reads tuples through one getter, and its
-forms and polynomials share one algebra type."""
+forms and polynomials share one algebra type.  No public function or class
+is kept that nothing reads."""
 
 import ast
 from pathlib import Path
 
+from test_readme import readme_block
+
 from lrhive import piecewise
 from lrhive.piecewise import Cone, Polynomial, QuasiPolynomial, family_function
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lrhive"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lrhive"
 
 
 def test_rank_mismatch_written_once():
@@ -109,3 +113,75 @@ def test_piecewise_forms_are_polynomials():
         for form in forms:
             assert type(form) is Polynomial, (family, form)
             assert all(sum(e) <= 1 for e, _ in form.numerators), (family, form)
+
+
+def public_definitions(tree) -> list[str]:
+    """The names of the module's top-level functions and classes that do not
+    start with an underscore."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_read(tree) -> set[str]:
+    """Every identifier the module reads as a name, an attribute or an import
+    alias, outside the top-level definition of that same name (a function
+    calling itself or a class naming itself is no reader), and every dotted
+    part of the strings in a ``TARGETS`` assignment, which names what a
+    tracer wraps."""
+    read = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        traced = isinstance(top, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in top.targets)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = node.name.split(".")
+            elif traced and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = node.value.split(".")
+            else:
+                continue
+            read.update(name for name in names if name != own)
+    return read
+
+
+def test_detector_finds_unread_definitions():
+    source = """
+from pkg import imported
+
+def used(x):
+    return x
+
+def unread(n):
+    return unread(n - 1) if n else used(n)
+
+class Record:
+    def copy(self):
+        return Record()
+
+def _private():
+    pass
+
+TARGETS = (("pkg.mod.Traced", "wrapped"),)
+"""
+    tree = ast.parse(source)
+    assert public_definitions(tree) == ["used", "unread", "Record"]
+    read = names_read(tree)
+    assert {"used", "imported", "pkg", "mod", "Traced", "wrapped"} <= read
+    assert not {"unread", "Record"} & read
+
+
+def test_every_public_definition_has_a_reader():
+    """Each public top-level function and class in src/lrhive is read, by
+    name, by the package itself, the acceptance gate, the benchmark
+    (``perfbench``, its tracer's targets included) or the README's quick
+    start, which ``test_readme`` runs; other tests are not readers."""
+    readers = [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *(ROOT / "perfbench").glob("*.py")]
+    read = set().union(*(names_read(ast.parse(path.read_text())) for path in readers))
+    read |= names_read(ast.parse(readme_block("## Library quick start", "```python\n")))
+    unread = [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+              for name in public_definitions(ast.parse(path.read_text())) if name not in read]
+    assert unread == [], "nothing reads these: delete them"
