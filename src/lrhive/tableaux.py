@@ -47,31 +47,30 @@ def lr_tableaux_count(lam: Partition, mu: Partition, nu: Partition) -> int:
     grid = [[0] * nu[r] for r in range(n)]  # 0 = empty
     target = mu.parts
     total = 0
-
-    def rec(idx: int):
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        right = grid[r][c + 1] if c + 1 < nu[r] else None
-        above = grid[r - 1][c] if r > 0 and c < nu[r - 1] else 0
-        # above == 0 only for cells outside the inner shape's shadow; inner
-        # cells of row r-1 count as "filled with something smaller".
-        lo = above + 1 if (r > 0 and c >= lam[r - 1]) else 1
-        hi = n if right is None else right
-        for v in range(lo, min(hi, n) + 1):
-            if content[v] >= target[v - 1]:
-                continue
-            if v > 1 and content[v] >= content[v - 1]:
-                continue  # lattice word prefix would fail
-            content[v] += 1
-            grid[r][c] = v
-            rec(idx + 1)
+    # One loop over the cells, no recursion: each cell's grid value is the
+    # value it tried last, so stepping back to a cell resumes its search.
+    k = 0
+    while k >= 0:
+        r, c = cells[k]
+        v = grid[r][c]
+        if v:
+            content[v] -= 1  # take back the value tried last
+        elif r > 0 and c >= lam[r - 1]:
+            v = grid[r - 1][c]  # columns strictly increase under a cell of nu/lam
+        hi = grid[r][c + 1] if c + 1 < nu[r] else n  # rows weakly increase
+        v += 1
+        while v <= hi and (content[v] >= target[v - 1] or v > 1 and content[v] >= content[v - 1]):
+            v += 1  # content full, or the lattice word prefix would fail
+        if v > hi:
             grid[r][c] = 0
-            content[v] -= 1
-
-    rec(0)
+            k -= 1  # exhausted: step back
+            continue
+        content[v] += 1
+        grid[r][c] = v
+        if k == len(cells) - 1:
+            total += 1
+        else:
+            k += 1
     return total
 
 

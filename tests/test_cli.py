@@ -19,7 +19,9 @@ import lrhive
 from lrhive import cli, piecewise, product
 from lrhive.cli import main
 from lrhive.coefficients import METHODS
+from lrhive.partitions import Partition
 from lrhive.piecewise import FAMILIES, PiecewiseFunction, Polynomial, QuasiPolynomial
+from lrhive.tableaux import lr_tableaux_count
 
 
 def run(capsys, *argv):
@@ -142,6 +144,15 @@ def test_multiset_with_a_thousand_cells(capsys):
     search is also run on mu = (1000) itself."""
     assert product._tableau_counts((0,), (1000,)) == {(1000,): 1}
     assert run(capsys, "multiset", "--lambda", "0", "--mu", "1000", "--n", "1") == (0, "1:1\n")
+
+
+def test_tableaux_oracle_with_a_thousand_cells(capsys):
+    """The tableaux oracle fills nu/lam in one loop, not one call per cell,
+    so a skew shape of a thousand cells is past no recursion limit."""
+    one = Partition((1000,))
+    assert lr_tableaux_count(Partition((0,)), one, one) == 1
+    argv = ("lr", "--method", "tableaux", "--lambda", "0", "--mu", "1000", "--nu", "1000", "--n", "1")
+    assert run(capsys, *argv) == (0, "1\n")
 
 
 def test_conjecture_commands(capsys):

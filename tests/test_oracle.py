@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lrhive.hive import count_hives
 from lrhive.partitions import Partition, partitions_of
+from lrhive.product import lr_expansion
 from lrhive.tableaux import conjugate, lr_conjugation_check, lr_tableaux_count
 
 
@@ -43,6 +44,25 @@ def test_pieri_rule():
         assert c in (0, 1)
         hits += c
     assert hits == 5  # the five horizontal 2-strips on (3,1) within 4 rows
+
+
+def test_agrees_with_product_past_the_acceptance_range():
+    """Criterion 2 checks the oracle up to rank 5.  Past it: every candidate
+    nu at n = 6 with |lam| + |mu| <= 8 and at n = 7 with |lam| + |mu| <= 7,
+    675 pairs, against ``lr_expansion``."""
+    pairs = 0
+    for n, most in ((6, 8), (7, 7)):
+        for a in range(most + 1):
+            for b in range(most + 1 - a):
+                for ls in partitions_of(a, n):
+                    for ms in partitions_of(b, n):
+                        lam, mu = (Partition(s + (0,) * (n - len(s))) for s in (ls, ms))
+                        expansion = lr_expansion(lam, mu)
+                        for shape in partitions_of(a + b, n, lam[0] + mu[0]):
+                            nu = Partition(shape + (0,) * (n - len(shape)))
+                            assert lr_tableaux_count(lam, mu, nu) == expansion.get(nu, 0), (lam, mu, nu)
+                        pairs += 1
+    assert pairs == 675
 
 
 def partition_at(n, max_part):

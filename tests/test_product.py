@@ -1,6 +1,7 @@
 """Tests for the decomposition map lr_expansion: its two cores (the rank-3
 closed form and the LR-tableau search) against each other and the per-nu
-engines, the search's work pins, and the histograms read from the map."""
+engines, the search's work pins, the histograms read from the map, and the
+clamping lemma on the map."""
 
 import json
 from collections import Counter
@@ -116,6 +117,39 @@ def test_edge_cases():
     assert product._tableau_counts(full_lam.parts, full_mu.parts) == expected
     assert lr_expansion(full_lam, full_mu) == {Partition(nu): c for nu, c in expected.items()}
     assert expected[6, 5, 4] == 2
+
+
+def clamped(parts, width):
+    """The bar-reduced partition whose gaps are those of ``parts``, each cut
+    to at most ``width``."""
+    out = [0]
+    for upper, lower in zip(parts[-2::-1], parts[::-1]):
+        out.append(out[-1] + min(upper - lower, width))
+    return Partition(tuple(out[::-1]))
+
+
+def test_clamping_lemma():
+    """The translated map nu - lam -> c depends on each gap of lam only
+    through min(gap, w(mu)), w(mu) = mu_1 - mu_n (ROADMAP item 18): checked
+    on bar-reduced lam, mu at n = 3 (parts <= 6), 4 (<= 5) and 5 (<= 3).
+    Clamping at w(mu) - 1 changes the map wherever it moves lam."""
+    def translated(lam, mu):
+        return {tuple(x - y for x, y in zip(nu.parts, lam.parts)): c
+                for nu, c in lr_expansion(lam, mu).items()}
+
+    held = changed = 0
+    for n, top in ((3, 6), (4, 5), (5, 3)):
+        shapes = [pad(s, n) for size in range(top * (n - 1) + 1) for s in partitions_of(size, n - 1, top)]
+        for lam in shapes:
+            for mu in shapes:
+                w = mu[0] - mu[n - 1]
+                expansion = translated(lam, mu)
+                if (at_w := clamped(lam.parts, w)) != lam:
+                    assert translated(at_w, mu) == expansion, (lam, mu)
+                    held += 1
+                if w and (below := clamped(lam.parts, w - 1)) != lam:
+                    changed += translated(below, mu) != expansion
+    assert (held, changed) == (920, 1_724)
 
 
 def test_rank_mismatch_raises():

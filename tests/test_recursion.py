@@ -8,7 +8,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lrhive"
 
 # qualified name -> why its recursion is allowed
 ALLOWED = {
-    "tableaux.lr_tableaux_count.rec": "the tableaux oracle; its explicit stack is a change of its own",
     "verify._nested_ints": "depth bounded by its depth argument, at most 3",
 }
 

@@ -1,10 +1,10 @@
 """Shared checks and declarations are written once: the rank check lives in
 ``partitions.common_rank`` (the tableaux oracle keeps its own, being
-independent on purpose), the CLI declares ``--json`` in one place and picks
-between JSON and text in one helper, a piecewise table is evaluated only
-through its compiled form, which reads tuples through one getter, and its
-forms and polynomials share one algebra type.  No public function or class
-is kept that nothing reads."""
+independent on purpose, and borrows nothing but ``Partition``), the CLI
+declares ``--json`` in one place and picks between JSON and text in one
+helper, a piecewise table is evaluated only through its compiled form,
+which reads tuples through one getter, and its forms and polynomials share
+one algebra type.  No public function or class is kept that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -21,6 +21,18 @@ SRC = ROOT / "src" / "lrhive"
 def test_rank_mismatch_written_once():
     found = {path.name: path.read_text().count('"rank mismatch"') for path in SRC.glob("*.py")}
     assert {name: k for name, k in found.items() if k} == {"partitions.py": 1, "tableaux.py": 1}
+
+
+def test_tableaux_oracle_imports_only_partition():
+    """The oracle checks the hive engine and the product, so it may not
+    borrow their code: its one import from the package is ``Partition``."""
+    package_imports = []
+    for node in ast.walk(ast.parse((SRC / "tableaux.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("lrhive")):
+            package_imports.append(("." * node.level + (node.module or ""), [a.name for a in node.names]))
+        elif isinstance(node, ast.Import):
+            package_imports += [(a.name, None) for a in node.names if a.name.split(".")[0] == "lrhive"]
+    assert package_imports == [(".partitions", ["Partition"])]
 
 
 def test_json_flag_declared_once():
