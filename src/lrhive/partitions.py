@@ -15,11 +15,12 @@ from operator import attrgetter
 class Record:
     """A frozen value with named fields, the base of every lrhive record.
 
-    A subclass names its fields in ``_fields`` and sets them, in its own
-    ``__init__``, with ``object.__setattr__``.  Equality, hash and repr read
-    the fields in that order, and records of different classes are never
-    equal.  A record keeps a ``__dict__``, so ``cached_property`` and
-    unpickling, which write to it directly, still work.
+    A subclass names its fields in ``_fields``; its ``__init__`` takes them
+    in that order and sets them with ``object.__setattr__``.  Equality, hash
+    and repr read the fields in that order, and records of different classes
+    are never equal.  A record pickles through its constructor, so a copy is
+    checked like a new one and carries no cached state; it keeps a
+    ``__dict__`` for ``cached_property``, which writes to it directly.
     """
 
     _fields: tuple[str, ...] = ()
@@ -41,6 +42,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -324,13 +324,6 @@ class PiecewiseFunction(Record):
                     raise ValueError(f"a {kind} over {list(p.variables)} in a table over "
                                      f"{list(variables)}")
 
-    def __getstate__(self):
-        """Pickle the table without its compiled form, which the copy
-        rebuilds on first use."""
-        state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        return state
-
     @cached_property
     def _compiled(self):
         """(coordinates, support, forms, cones, pieces, recipe, hits): the

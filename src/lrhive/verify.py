@@ -2,10 +2,12 @@
 
 The two conjectures compare the tensor product decompositions of
 V(lam) (x) V(mu) and V(lam-dagger) (x) V(mu), where lam-dagger is
-dual_star(bar_reduce(lam)): conjecture 1 asserts equal multiplicity
+dual_star(lam), since V(lam)* is V(dual_star(lam)) times a power of the
+determinant; dual_star reads only the differences of lam's parts, so no
+bar reduction comes first.  Conjecture 1 asserts equal multiplicity
 multisets, conjecture 2 only equal component counts, both for
-near-rectangular lam.  The sum of multiplicities always agrees,
-with no hypothesis on lam.
+near-rectangular lam.  The sum of multiplicities always agrees, with no
+hypothesis on lam.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from operator import attrgetter
 
 from .formulas import nr_coefficient
 from .hive import count_hives
-from .partitions import (Partition, Record, bar_reduce, common_rank, dual_star, is_near_rectangular,
-                         padded, partitions_of)
+from .partitions import Partition, Record, common_rank, dual_star, is_near_rectangular, padded, partitions_of
 from .piecewise import multiplicity_multiset
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
@@ -56,11 +57,6 @@ def _summary_json(value):
     return {str(k): v for k, v in pairs}
 
 
-def lambda_dagger(lam: Partition) -> Partition:
-    """The comparison partner dual_star(bar_reduce(lam))."""
-    return dual_star(bar_reduce(lam))
-
-
 # Per check: what it reads from each multiplicity multiset, and its mismatch witness.
 _CHECKS = {
     "conj1": (lambda ms: ms, lambda left, right:
@@ -83,7 +79,7 @@ def compare(check: str, lam: Partition, mu: Partition, *,
         return Verdict(SKIP, check, lam, mu, witness="lambda is not near-rectangular")
     histogram = histogram or multiplicity_multiset
     left = project(histogram(lam, mu))
-    right = project(histogram(lambda_dagger(lam), mu))
+    right = project(histogram(dual_star(lam), mu))
     if left == right:
         return Verdict(PASS, check, lam, mu, left, right)
     return Verdict(FAIL, check, lam, mu, left, right, witness=witness(left, right))
@@ -160,37 +156,39 @@ class SweepConfig(Record):
                  expected_fail_lambdas: tuple[tuple[int, ...], ...] = ()):
         # max_nr bounds max(lam1 - lam2, lam2); check is a name in _CHECKS;
         # output_format is json | csv
-        for name, value in zip(self._fields, (n, max_nr, max_mu_size, check, jobs, output_path,
-                                              output_format, extra_cases, expected_fail_lambdas)):
-            object.__setattr__(self, name, value)
-        for name in ("n", "max_nr", "max_mu_size", "jobs"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
-        if self.n < 2:
+        for name, value in (("n", n), ("max_nr", max_nr), ("max_mu_size", max_mu_size), ("jobs", jobs)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if n < 2:
             raise ValueError("rank must be >= 2")
-        if self.max_nr < 0 or self.max_mu_size < 0:
+        if max_nr < 0 or max_mu_size < 0:
             raise ValueError("bounds must be nonnegative")
-        if type(self.check) is not str or self.check not in _CHECKS:
-            raise ValueError(f"unknown check {self.check!r}")
-        if self.jobs < 1:
+        if type(check) is not str or check not in _CHECKS:
+            raise ValueError(f"unknown check {check!r}")
+        if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ValueError(f"output_path must be a string, not {self.output_path!r}")
-        if self.output_format != "json" and self.output_path is None:
+        if output_format not in ("json", "csv"):
+            raise ValueError(f"unknown output format {output_format!r}")
+        if output_path is not None and not isinstance(output_path, str):
+            raise ValueError(f"output_path must be a string, not {output_path!r}")
+        if output_format != "json" and output_path is None:
             raise ValueError("output_format shapes the output_path file; give output_path too")
-        for name, depth, shape in (("extra_cases", 3, "[lambda, mu] pairs of integer lists"),
-                                   ("expected_fail_lambdas", 2, "integer lists")):
-            value = _nested_ints(getattr(self, name), depth)
-            if value is None or (depth == 3 and any(len(case) != 2 for case in value)):
-                raise ValueError(f"{name} must be a list of {shape}, not {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
-        for lam in self.expected_fail_lambdas:  # any rank: it may match an extra_cases lambda
+        cases = _nested_ints(extra_cases, 3)
+        if cases is None or any(len(case) != 2 for case in cases):
+            raise ValueError("extra_cases must be a list of [lambda, mu] pairs of integer lists, "
+                             f"not {extra_cases!r}")
+        fail_lambdas = _nested_ints(expected_fail_lambdas, 2)
+        if fail_lambdas is None:
+            raise ValueError("expected_fail_lambdas must be a list of integer lists, "
+                             f"not {expected_fail_lambdas!r}")
+        for lam in fail_lambdas:  # any rank: it may match an extra_cases lambda
             try:
                 Partition(lam)
             except ValueError as exc:
                 raise ValueError(f"expected_fail_lambdas: {exc}") from None
+        for name, value in zip(self._fields, (n, max_nr, max_mu_size, check, jobs, output_path,
+                                              output_format, cases, fail_lambdas)):
+            object.__setattr__(self, name, value)
 
     def as_json(self) -> dict:
         """Every field but output_path, with the tuple fields as lists."""
@@ -282,16 +280,12 @@ def sweep_cases(config: SweepConfig) -> list[tuple[Partition, Partition]]:
     """Deterministic case list: near-rectangular lam over the (lam1-lam2, lam2)
     grid crossed with all mu of size up to the bound, then the injected extras."""
     n = config.n
-    cases = []
-    for a in range(config.max_nr + 1):
-        for b in range(config.max_nr + 1):
-            lam = padded((a + b,), b, (0,), n)
-            for mu_size in range(config.max_mu_size + 1):
-                for shape in partitions_of(mu_size, n):
-                    mu = Partition(shape + (0,) * (n - len(shape)))
-                    cases.append((lam, mu))
-    for lam_parts, mu_parts in config.extra_cases:
-        cases.append((Partition(lam_parts), Partition(mu_parts)))
+    grid = range(config.max_nr + 1)
+    lams = [padded((a + b,), b, (0,), n) for a in grid for b in grid]
+    mus = [Partition(shape + (0,) * (n - len(shape)))
+           for mu_size in range(config.max_mu_size + 1) for shape in partitions_of(mu_size, n)]
+    cases = [(lam, mu) for lam in lams for mu in mus]
+    cases += [(Partition(lam), Partition(mu)) for lam, mu in config.extra_cases]
     return cases
 
 
@@ -306,7 +300,7 @@ def sweep(config: SweepConfig, version: str = "0") -> VerificationReport:
     """
     cases = sweep_cases(config)
     pairs = list(dict.fromkeys(
-        pair for lam, mu in cases for pair in ((lam, mu), (lambda_dagger(lam), mu))))
+        pair for lam, mu in cases for pair in ((lam, mu), (dual_star(lam), mu))))
     workers = min(config.jobs, len(pairs), os.cpu_count() or 1)
     # "auto" per nu, not the product, until ROADMAP item 8 reads the worker's own peak memory
     if workers > 1:

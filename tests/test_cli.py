@@ -52,6 +52,10 @@ def test_lr_methods_agree(capsys):
         assert code == 0
         results.add(out.strip())
     assert results == {"2"}
+    # |nu| != |lam| + |mu|: the oracle returns 0 before it fills a cell, as the hive does
+    for method in ("hive", "tableaux"):
+        argv = ("lr", "--lambda", "1", "--mu", "1", "--nu", "1", "--n", "2", "--method", method)
+        assert run(capsys, *argv) == (0, "0\n")
 
 
 def test_lr_json(capsys):
@@ -382,6 +386,8 @@ def test_compare_output_exact(capsys, argv, expected):
     ["piecewise", "--family", "gl3", "--point", "1,1,1,1,0", "--verify-range", "1"],
     # --format shapes the --output file, so it is not accepted without one
     ["sweep", "--n", "4", "--max-nr", "0", "--max-mu", "1", "--check", "conj1", "--format", "csv"],
+    # argparse's choices stop --format xml; a config file reaches SweepConfig's own check
+    ["sweep", "--config", "{xml_format}"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, argv):
     cfg = {"n": 4, "max_nr": 1, "max_mu_size": 2, "check": "conj1"}
@@ -393,7 +399,9 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
              "csv_no_output": {**cfg, "output_format": "csv"},
              "unsorted_fail": {**cfg, "expected_fail_lambdas": [[1, 2, 3, 4, 5]]},
              "negative_fail": {**cfg, "expected_fail_lambdas": [[2, 1, 0, -1]]},
-             "list_check": {**cfg, "check": []}, "dict_check": {**cfg, "check": {}}}
+             "list_check": {**cfg, "check": []}, "dict_check": {**cfg, "check": {}},
+             # with an output file, so only the format check can stop it
+             "xml_format": {**cfg, "output_format": "xml", "output_path": str(tmp_path / "out.xml")}}
     paths = {name: tmp_path / f"{name}.json" for name in [*files, "absent", "deep"]}
     for name, content in files.items():
         paths[name].write_text(json.dumps(content))

@@ -200,7 +200,8 @@ def _records():
 @pytest.mark.parametrize("record, defaults, text", _records(), ids=lambda v: type(v).__name__)
 def test_record_value_semantics(record, defaults, text):
     """Each record is a frozen value: its repr, hash and equality read its
-    fields in order, it is built by field name, and a pickle copy is equal."""
+    fields in order, it is built by field name, and it pickles through its
+    constructor, to an equal copy."""
     import inspect
     import pickle
 
@@ -219,4 +220,5 @@ def test_record_value_semantics(record, defaults, text):
                    lambda: setattr(record, "extra", 1)):
         with pytest.raises(AttributeError):
             change()
+    assert record.__reduce__() == (cls, values)
     assert pickle.loads(pickle.dumps(record)) == record

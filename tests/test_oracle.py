@@ -23,6 +23,8 @@ def test_known_counts():
     assert lr_tableaux_count(lam, lam, Partition((4, 2, 0))) == 1
     # lam not contained in nu
     assert lr_tableaux_count(Partition((3, 0)), Partition((1, 0)), Partition((2, 2))) == 0
+    # sizes that do not balance
+    assert lr_tableaux_count(Partition((1, 0)), Partition((1, 0)), Partition((1, 0))) == 0
     # empty mu
     assert lr_tableaux_count(lam, Partition((0, 0, 0)), lam) == 1
 

@@ -4,7 +4,8 @@ independent on purpose, and borrows nothing but ``Partition``), the CLI
 declares ``--json`` in one place and picks between JSON and text in one
 helper, a piecewise table is evaluated only through its compiled form,
 which reads tuples through one getter, and its forms and polynomials share
-one algebra type.  No public function or class is kept that nothing reads."""
+one algebra type.  Records pickle only through ``Record``.  No public
+function or class is kept that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,18 @@ def test_tableaux_oracle_imports_only_partition():
         elif isinstance(node, ast.Import):
             package_imports += [(a.name, None) for a in node.names if a.name.split(".")[0] == "lrhive"]
     assert package_imports == [(".partitions", ["Partition"])]
+
+
+def test_records_pickle_only_through_record():
+    """``Record.__reduce__`` pickles every record through its constructor;
+    no other class may pickle its own way."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                found += [(node.name, item.name) for item in node.body if isinstance(item, ast.FunctionDef)
+                          and item.name in ("__reduce__", "__reduce_ex__", "__getstate__", "__setstate__")]
+    assert found == [("Record", "__reduce__")]
 
 
 def test_json_flag_declared_once():

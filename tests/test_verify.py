@@ -5,11 +5,12 @@ import hashlib
 import json
 import os
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
 from lrhive import verify
-from lrhive.partitions import Partition
+from lrhive.partitions import Partition, bar_reduce, dual_star
 from lrhive.verify import (
     FAIL,
     PASS,
@@ -18,7 +19,6 @@ from lrhive.verify import (
     Verdict,
     compare,
     cz_sum_check,
-    lambda_dagger,
     reproduce_gl5_counterexample,
     stability_check,
     sweep,
@@ -26,9 +26,15 @@ from lrhive.verify import (
 )
 
 
-def test_lambda_dagger():
-    assert lambda_dagger(Partition((5, 3, 0))) == Partition((5, 2, 0))
-    assert lambda_dagger(Partition((4, 2, 2, 1))) == Partition((3, 2, 2, 0))
+def test_lambda_dagger_is_dual_star():
+    """The comparison partner reads only the differences of lam's parts, so
+    a lam with a nonzero last part needs no bar reduction first."""
+    assert dual_star(Partition((5, 3, 0))) == Partition((5, 2, 0))
+    assert dual_star(Partition((4, 2, 2, 1))) == Partition((3, 2, 2, 0))
+    for n in range(1, 7):  # all 1,715 partitions with n <= 6 and parts <= 6
+        for parts in combinations_with_replacement(range(6, -1, -1), n):
+            lam = Partition(parts)
+            assert dual_star(lam) == dual_star(bar_reduce(lam)), lam
 
 
 def test_verdict_requires_witness_on_fail():
@@ -239,9 +245,15 @@ def test_sweep_report_bytes_pinned(kwargs, json_sha, csv_sha):
     assert hashlib.sha256(report.to_csv_text().encode()).hexdigest() == csv_sha
 
 
-@pytest.mark.parametrize("check", ["conj1", "conj2", "cz_sum"])
-def test_sweep_verdicts_match_per_case_checks(check):
-    cfg = SweepConfig(n=5, max_nr=1, max_mu_size=2, check=check, extra_cases=INJECTED)
+@pytest.mark.parametrize("check, grid", [
+    *(pytest.param(check, dict(n=5, max_nr=1, max_mu_size=2, extra_cases=INJECTED), id=check)
+      for check in ("conj1", "conj2", "cz_sum")),
+    # the criterion-11 grids: the sweep's per-nu histograms against the product's
+    pytest.param("conj1", dict(n=4, max_nr=3, max_mu_size=8), id="conj1-rank4"),
+    pytest.param("conj1", dict(n=5, max_nr=2, max_mu_size=6), id="conj1-rank5"),
+])
+def test_sweep_verdicts_match_per_case_checks(check, grid):
+    cfg = SweepConfig(check=check, **grid)
     assert list(sweep(cfg).verdicts) == [compare(check, lam, mu, require_near_rectangular=False)
                                          for lam, mu in sweep_cases(cfg)]
 
@@ -258,7 +270,7 @@ def test_sweep_computes_each_distinct_histogram_once(monkeypatch):
     cfg = SweepConfig(n=4, max_nr=2, max_mu_size=3, check="conj1")
     cases = sweep_cases(cfg)
     assert sweep(cfg).passes == len(cases)
-    distinct = {pair for lam, mu in cases for pair in ((lam, mu), (lambda_dagger(lam), mu))}
+    distinct = {pair for lam, mu in cases for pair in ((lam, mu), (dual_star(lam), mu))}
     assert calls == Counter(distinct)
     # lam-dagger of a grid point is a grid point: half of the 2 * cases pairs repeat
     assert len(distinct) == len(cases)
