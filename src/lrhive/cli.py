@@ -48,9 +48,15 @@ def _add_triple(sub, nu_required=True, required=True):
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: building it costs more than most
-    commands it runs, and parsing leaves it unchanged."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, built once per process and command: building it costs
+    more than most commands it runs, and parsing leaves it unchanged.
+
+    Given a ``command``, it holds that subcommand's parser alone; its usage
+    still lists every command, so the usage lines its errors print are the
+    full parser's.  The full parser serves the top-level help and every
+    argument list that does not start with a command.
+    """
     parser = argparse.ArgumentParser(
         prog="lrhive",
         description="Exact Littlewood-Richardson coefficients, counting functions, and conjecture sweeps.",
@@ -60,24 +66,30 @@ def build_parser() -> argparse.ArgumentParser:
         action="version",
         version=f"lrhive {__version__} (tables revision {TABLES_REVISION})",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # an explicit metavar would rename the argument in the full parser's
+    # own errors (a missing or unknown command), so only the one-command
+    # parser, which makes neither, spells out the list its choices would give
+    listing = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
+    for name, (text, run, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            p.set_defaults(run=run)
+            add_arguments(p)
+            p.add_argument("--json", action="store_true")  # last, as every subcommand lists it
+    return parser
 
-    p = sub.add_parser("lr", help="one coefficient c_{lambda,mu}^nu")
-    p.set_defaults(run=_cmd_lr)
+
+def _lr_arguments(p) -> None:
     _add_triple(p)
     p.add_argument("--method", choices=METHODS, default="auto")
 
-    p = sub.add_parser("multiset", help="histogram of positive coefficients over nu")
-    p.set_defaults(run=_cmd_multiset)
+
+def _pair_arguments(p) -> None:
     _add_triple(p, nu_required=False)
 
-    for name in ("conj1", "conj2", "czsum"):
-        p = sub.add_parser(name, help=f"run the {name} comparison on one (lambda, mu)")
-        p.set_defaults(run=_cmd_compare)
-        _add_triple(p, nu_required=False)
 
-    p = sub.add_parser("stability", help="rank independence for near-rectangular factors")
-    p.set_defaults(run=_cmd_stability)
+def _stability_arguments(p) -> None:
     p.add_argument("--lam1", type=int, required=True)
     p.add_argument("--lam2", type=int, required=True)
     p.add_argument("--mu1", type=int, required=True)
@@ -85,22 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True, metavar="N1,N2,N3,N4", help="the four free parts of nu")
     p.add_argument("--ranks", default="4,5,6", metavar="N,N,...")
 
-    p = sub.add_parser("horn", help="facet-system membership at rank 4")
-    p.set_defaults(run=_cmd_horn)
+
+def _horn_arguments(p) -> None:
     _add_triple(p, required=False)  # the triple is required unless --generators
     p.add_argument("--family", choices=("nr", "nr2"), required=True)
     p.add_argument("--generators", action="store_true", help="list the Hilbert generators instead")
 
-    p = sub.add_parser("piecewise", help="evaluate or verify a counting-function table")
-    p.set_defaults(run=_cmd_piecewise)
+
+def _piecewise_arguments(p) -> None:
     p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--point", metavar="X,X,...", help="integer point, one coordinate per table variable")
     p.add_argument("--verify-range", type=int, metavar="B",
                    help="scan all points with coordinates in [0, B] against enumeration")
     p.add_argument("--dump", action="store_true", help="print the table as JSON")
 
-    p = sub.add_parser("sweep", help="batch conjecture checks over a (lambda, mu) grid")
-    p.set_defaults(run=_cmd_sweep)
+
+def _sweep_arguments(p) -> None:
     p.add_argument("--config", metavar="FILE.json")
     p.add_argument("--n", type=int)
     p.add_argument("--max-nr", type=int, help="bound on max(lambda1-lambda2, lambda2)")
@@ -109,13 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int)
     p.add_argument("--output", metavar="FILE")
     p.add_argument("--format", choices=("json", "csv"))
-
-    p = sub.add_parser("repro-gl5", help="reproduce the rank-5 component-count counterexample")
-    p.set_defaults(run=lambda a: _emit_verdict(a, reproduce_gl5_counterexample()))
-
-    for p in sub.choices.values():  # last, as every subcommand lists it
-        p.add_argument("--json", action="store_true")
-    return parser
 
 
 def _show(args, data, text) -> None:
@@ -250,8 +255,25 @@ def _cmd_sweep(args) -> int:
     return 0 if report.unexpected_fails == 0 else 1
 
 
+# each subcommand's help line, handler and arguments, in the order the help lists them
+_COMMANDS = {
+    "lr": ("one coefficient c_{lambda,mu}^nu", _cmd_lr, _lr_arguments),
+    "multiset": ("histogram of positive coefficients over nu", _cmd_multiset, _pair_arguments),
+    **{name: (f"run the {name} comparison on one (lambda, mu)", _cmd_compare, _pair_arguments)
+       for name in ("conj1", "conj2", "czsum")},
+    "stability": ("rank independence for near-rectangular factors", _cmd_stability, _stability_arguments),
+    "horn": ("facet-system membership at rank 4", _cmd_horn, _horn_arguments),
+    "piecewise": ("evaluate or verify a counting-function table", _cmd_piecewise, _piecewise_arguments),
+    "sweep": ("batch conjecture checks over a (lambda, mu) grid", _cmd_sweep, _sweep_arguments),
+    "repro-gl5": ("reproduce the rank-5 component-count counterexample",
+                  lambda a: _emit_verdict(a, reproduce_gl5_counterexample()), lambda p: None),
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a list that starts with a command needs no other subcommand's parser
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()  # here, so a closed stdout raises inside the try

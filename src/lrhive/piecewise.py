@@ -15,20 +15,25 @@ walls and branches alike.  The frozen records (``partitions.Record``) hold a
 table for building, orbit expansion, deduplication by value and its JSON
 export (``piecewise_to_json``, the bytes of ``piecewise --dump``; no loader
 reads a table back, the tables live in code); the only way to evaluate one
-is its compiled form, built on first use, which reads a point as a tuple of
-coordinates in the table's variable order (``evaluate_at`` and
-``values_at``; ``evaluate`` and ``values`` read a mapping into one): each
-point's signs on the table's distinct cone forms pack into one mask that
-picks the containing pieces, and each point gets one table of the table's
-monomials, closed under parents degree by degree, from which every
-containing piece's branch takes its slots as one tuple (``_getter``, the
-one ``itemgetter`` call).
+is its compiled form, built on first use, which reads the table one line
+of its last variable at a time (the threshold c of a full table;
+``evaluate_line``) and a point as a line of one point (``evaluate_at`` and
+``values_at``, on a tuple of coordinates in the table's variable order;
+``evaluate`` and ``values`` read a mapping into one).  Once per line, the
+support's interval on the line comes from exact floor and ceiling
+division, the distinct cone forms that do not read the last variable give
+their sign bits, and the monomials free of it fill their slots of one
+table of the table's monomials, closed under parents degree by degree.
+Once per point, the other forms' signs complete one mask that picks the
+containing pieces, the other monomials fill the rest of the table, and
+every containing piece's branch takes its slots as one tuple
+(``_getter``, the one ``itemgetter`` call).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -248,8 +253,12 @@ class PieceAgreementError(AssertionError):
 # linear form is (constant, ((variable index, coefficient), ...)), and a
 # branch is (denominator, numerators, take): its value is the sum of each
 # numerator times its monomial, which ``take`` reads, all in one tuple, from
-# the point's monomial table.
+# the point's monomial table.  A table is read along lines of its last
+# variable, t: a line form is (constant, prefix terms, coefficient of t), so
+# its value at a point is its value at the line's prefix plus that
+# coefficient times t.
 IndexedForm = tuple[int, tuple[tuple[int, int], ...]]
+LineForm = tuple[int, tuple[tuple[int, int], ...], int]
 IndexedBranch = tuple[int, tuple[int, ...], Callable[[list[int]], tuple[int, ...]]]
 
 
@@ -259,25 +268,11 @@ def _affine(form: Polynomial) -> IndexedForm:
             tuple((e.index(1), c) for e, c in form.numerators if any(e)))
 
 
-def _inside(cone: tuple[IndexedForm, ...], coords: tuple[int, ...]) -> bool:
-    for total, terms in cone:
-        for j, c in terms:
-            total += c * coords[j]
-        if total < 0:
-            return False
-    return True
-
-
-def _sign_mask(forms: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...],
-               coords: tuple[int, ...]) -> int:
-    """The bits of the (bit, constant, terms) forms that are >= 0 at ``coords``."""
-    mask = 0
-    for bit, total, terms in forms:
-        for j, c in terms:
-            total += c * coords[j]
-        if total >= 0:
-            mask |= bit
-    return mask
+def _line_form(form: IndexedForm, last: int) -> LineForm:
+    """A compiled form split at the variable of index ``last``."""
+    constant, terms = form
+    return (constant, tuple((j, c) for j, c in terms if j != last),
+            sum(c for j, c in terms if j == last))
 
 
 def _monomial_recipe(exponents: Iterable[tuple[int, ...]]) -> tuple[dict, tuple[tuple[int, int], ...]]:
@@ -304,8 +299,8 @@ def _monomial_recipe(exponents: Iterable[tuple[int, ...]]) -> tuple[dict, tuple[
 
 
 class PiecewiseFunction(Record):
-    """Raises ValueError on repeated variables, and on a form or branch
-    over other variables."""
+    """Raises ValueError on no variables or repeated ones, and on a form or
+    branch over other variables."""
 
     _fields = ("variables", "support", "pieces")
 
@@ -313,6 +308,8 @@ class PiecewiseFunction(Record):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "pieces", pieces)
+        if not variables:  # a table is read along lines of its last variable
+            raise ValueError("a table needs at least one variable")
         if len(set(variables)) != len(variables):
             raise ValueError(f"repeated variable in {list(variables)}")
         branches = [branch for _, q in pieces for branch in q.branches]
@@ -326,29 +323,38 @@ class PiecewiseFunction(Record):
 
     @cached_property
     def _compiled(self):
-        """(coordinates, support, forms, cones, pieces, recipe, hits): the
+        """(coordinates, support, forms, cones, pieces, recipes, hits): the
         one evaluator of the table, built on the first evaluation, so a table
         never evaluated costs nothing.
 
         ``coordinates`` reads a mapping as a tuple in the order of
         ``variables``, and the rest refer to variables by position in that
-        tuple.  ``forms`` holds each distinct cone form once, as (bit,
-        constant, terms), so a point's signs pack into one mask; each cone
-        is the mask of its forms' bits, and contains the point when the
-        point's mask covers it.  Each piece is (modulus, selector,
-        branches).  ``recipe`` builds a point's monomial table (see
-        ``_monomial_recipe``), from which each branch takes its slots in
-        one tuple (``_getter``).  ``hits`` memoizes sign mask -> indices of
-        the containing pieces, ascending.  ``support`` and ``forms`` go in
-        ascending (constant, terms), so every process compiles the same
-        order: a frozenset's iteration order follows the string hash seed.
+        tuple.  ``support`` holds the support's line forms.  ``forms`` holds
+        each distinct cone form once, as (bit, *line form), so a point's
+        signs pack into one mask; each cone is the mask of its forms' bits,
+        and contains the point when the point's mask covers it.  Each piece
+        is (modulus, selector, branches).  ``recipes`` splits the monomial
+        table's recipe (see ``_monomial_recipe``) into the (slot, parent
+        slot, variable index) steps of the monomials free of the last
+        variable, filled once per line, and the rest, filled once per point;
+        slots go by degree in both, so parents still come first.  Each
+        branch takes its slots in one tuple (``_getter``).  ``hits``
+        memoizes sign mask -> indices of the containing pieces, ascending.
+        ``support`` and ``forms`` go in ascending (constant, terms), so every
+        process compiles the same order: a frozenset's iteration order
+        follows the string hash seed.
         """
+        last = len(self.variables) - 1
         # pieces share forms and exponent tuples: compile each one once
         affine = {form: _affine(form) for form in {f for cone, _ in self.pieces for f in cone.constraints}}
         bits = {form: 1 << b for b, form in enumerate(sorted(affine, key=affine.get))}
-        forms = tuple((bit, *affine[form]) for form, bit in bits.items())
+        forms = tuple((bit, *_line_form(affine[form], last)) for form, bit in bits.items())
         slot, recipe = _monomial_recipe(
             e for _, q in self.pieces for b in q.branches for e, _ in b.numerators)
+        order = sorted(slot, key=slot.get)
+        steps = [(s, up, j) for s, (up, j) in enumerate(recipe, start=1)]
+        recipes = tuple(tuple(step for step in steps if bool(order[step[0]][last]) == per_point)
+                        for per_point in (False, True))
 
         def branch(p: Polynomial) -> IndexedBranch:
             return (p.denominator, tuple(c for _, c in p.numerators),
@@ -357,30 +363,90 @@ class PiecewiseFunction(Record):
         cones = tuple(sum(bits[form] for form in cone.constraints) for cone, _ in self.pieces)
         pieces = tuple((q.modulus, _affine(q.selector), tuple(map(branch, q.branches)))
                        for _, q in self.pieces)
-        return (_getter(self.variables), tuple(sorted(map(_affine, self.support.constraints))), forms,
-                cones, pieces, recipe, {})
+        support = tuple(_line_form(form, last) for form in sorted(map(_affine, self.support.constraints)))
+        return _getter(self.variables), support, forms, cones, pieces, recipes, {}
 
-    def _containing(self, coords: tuple[int, ...]) -> list[tuple[int, int, int]]:
-        """(index, numerator, denominator) of every piece whose cone contains
-        ``coords``; the piece's value there is numerator / denominator."""
-        _, _, forms, cones, pieces, recipe, memo = self._compiled
-        mask = _sign_mask(forms, coords)
-        hits = memo.get(mask)
-        if hits is None:
-            hits = memo[mask] = tuple(i for i, cone in enumerate(cones) if mask & cone == cone)
-        if not hits:
-            return []
-        monomials = [1]
-        for parent, j in recipe:
-            monomials.append(monomials[parent] * coords[j])
-        out = []
-        for i in hits:
-            modulus, (total, terms), branches = pieces[i]
-            for j, c in terms:  # a plain piece's selector is the zero form: no terms
-                total += c * coords[j]
-            den, nums, take = branches[total % modulus]
-            out.append((i, sum(map(mul, nums, take(monomials))), den))
-        return out
+    def _line(self, prefix: tuple[int, ...], ts: range, checked: bool) -> Iterator:
+        """The table at the points prefix + (t,), t in ``ts`` (a range of
+        step 1), lazily and in order, so a reader that stops early makes no
+        later point raise.  Checked, each point reads as ``evaluate_at``
+        gives it: (0, None) outside the support, else (value, lowest
+        containing piece), after the agreement checks.  Unchecked, each
+        point reads as ``values_at`` gives it: (index, value) of every
+        containing piece.
+
+        Once per line: the support's interval in t, in exact floor and
+        ceiling division, and nothing more if no point of ``ts`` is in it;
+        the signs of the cone forms that do not read t; the other forms'
+        values at t = 0; and, at the line's first point in a piece, the
+        monomials free of t.  Once per point: those other forms' signs, the
+        monomials that read t, and each containing piece's branch.
+        """
+        _, support, forms, cones, pieces, (per_line, per_point), memo = self._compiled
+        lo, hi = ts.start, ts.stop - 1
+        if checked:
+            for value, terms, slope in support:
+                for j, c in terms:
+                    value += c * prefix[j]
+                if slope > 0:  # value + slope * t >= 0 from t = ceil(-value / slope) on
+                    value = -(value // slope)
+                    if value > lo:
+                        lo = value
+                elif slope < 0:  # and up to t = floor(value / -slope)
+                    value //= -slope
+                    if value < hi:
+                        hi = value
+                elif value < 0:
+                    hi = ts.start - 1  # no point of the line
+            if lo > hi:
+                for _ in ts:
+                    yield 0, None
+                return
+        fixed, moving = 0, []  # the mask bits of the forms free of t; (bit, value at t = 0, slope) of the rest
+        for bit, value, terms, slope in forms:
+            for j, c in terms:
+                value += c * prefix[j]
+            if slope:
+                moving.append((bit, value, slope))
+            elif value >= 0:
+                fixed |= bit
+        x = [*prefix, 0]  # the point, its last coordinate set per point
+        monomials = None  # filled at the first point in a piece
+        for t in ts:
+            if not lo <= t <= hi:
+                yield 0, None
+                continue
+            x[-1] = t
+            mask = fixed
+            for bit, value, slope in moving:
+                if value + slope * t >= 0:
+                    mask |= bit
+            hits = memo.get(mask)
+            if hits is None:
+                hits = memo[mask] = tuple(i for i, cone in enumerate(cones) if mask & cone == cone)
+            if hits:
+                if monomials is None:
+                    monomials = [1] * (1 + len(per_line) + len(per_point))
+                    for s, up, j in per_line:
+                        monomials[s] = monomials[up] * x[j]
+                for s, up, j in per_point:
+                    monomials[s] = monomials[up] * x[j]
+            found = []  # (index, numerator, denominator): the piece's value is their quotient
+            for i in hits:
+                modulus, (total, terms), branches = pieces[i]
+                for j, c in terms:  # a plain piece's selector is the zero form: no terms
+                    total += c * x[j]
+                den, nums, take = branches[total % modulus]
+                found.append((i, sum(map(mul, nums, take(monomials))), den))
+            yield _agreed(found, self.variables, x) if checked else _each(found, self.variables, x)
+
+    def evaluate_line(self, prefix: tuple[int, ...], ts: range) -> Iterator[tuple[int, int | None]]:
+        """``evaluate_at`` at the point prefix + (t,) for each t in ``ts``,
+        a range of step 1, lazily and in order: ``prefix`` holds every
+        coordinate but the last, in the order of ``variables``."""
+        if ts.step != 1:
+            raise ValueError(f"a line is read in steps of 1, not {ts.step}")
+        return self._line(prefix, ts, True)
 
     def evaluate_at(self, coords: tuple[int, ...]) -> tuple[int, int | None]:
         """Value and lowest containing piece index at the point whose
@@ -389,36 +455,15 @@ class PiecewiseFunction(Record):
 
         Every containing piece is evaluated and agreement is asserted, always.
         """
-        if not _inside(self._compiled[1], coords):
-            return 0, None
-        hits = self._containing(coords)
-        if not hits:
-            raise PieceAgreementError(
-                f"no piece covers in-support point {point_of(self.variables, coords)}")
-        index, num, den = hits[0]
-        value, rem = divmod(num, den)
-        # every piece gave the same integer: the first piece's, with no remainder
-        if not rem and (len(hits) == 1 or all(n == value * d for _, n, d in hits)):
-            return value, index
-        exact = {Fraction(num, den) for _, num, den in hits}
-        if len(exact) != 1:
-            raise PieceAgreementError(
-                f"pieces {[i for i, _, _ in hits]} disagree at {point_of(self.variables, coords)}: "
-                f"{sorted(exact)}")
-        raise PieceAgreementError(f"non-integral value {exact.pop()} at {point_of(self.variables, coords)}")
+        t = coords[-1]
+        return next(self._line(coords[:-1], range(t, t + 1), True))
 
     def values_at(self, coords: tuple[int, ...]) -> list[tuple[int, int]]:
         """(index, value) of every piece whose cone contains the point whose
         coordinates, in the order of ``variables``, are ``coords``, each
         evaluated on its own: no support test and no agreement check."""
-        out = []
-        for i, num, den in self._containing(coords):
-            value, rem = divmod(num, den)
-            if rem:
-                raise PieceAgreementError(
-                    f"non-integral value {Fraction(num, den)} at {point_of(self.variables, coords)}")
-            out.append((i, value))
-        return out
+        t = coords[-1]
+        return next(self._line(coords[:-1], range(t, t + 1), False))
 
     def evaluate(self, point: Mapping[str, int]) -> tuple[int, int | None]:
         """``evaluate_at`` at the point of a mapping from variable names."""
@@ -427,6 +472,36 @@ class PiecewiseFunction(Record):
     def values(self, point: Mapping[str, int]) -> list[tuple[int, int]]:
         """``values_at`` at the point of a mapping from variable names."""
         return self.values_at(self._compiled[0](point))
+
+
+def _agreed(found: list[tuple[int, int, int]], variables, coords) -> tuple[int, int]:
+    """(value, index) of the first of the (index, numerator, denominator)
+    values of the pieces that contain an in-support point, which must all
+    be one integer."""
+    if not found:
+        raise PieceAgreementError(f"no piece covers in-support point {point_of(variables, coords)}")
+    index, num, den = found[0]
+    value, rem = divmod(num, den)
+    # every piece gave the same integer: the first piece's, with no remainder
+    if not rem and (len(found) == 1 or all(n == value * d for _, n, d in found)):
+        return value, index
+    exact = {Fraction(num, den) for _, num, den in found}
+    if len(exact) != 1:
+        raise PieceAgreementError(
+            f"pieces {[i for i, _, _ in found]} disagree at {point_of(variables, coords)}: {sorted(exact)}")
+    raise PieceAgreementError(f"non-integral value {exact.pop()} at {point_of(variables, coords)}")
+
+
+def _each(found: list[tuple[int, int, int]], variables, coords) -> list[tuple[int, int]]:
+    """(index, value) of each of the (index, numerator, denominator) values,
+    which must be integers."""
+    out = []
+    for i, num, den in found:
+        value, rem = divmod(num, den)
+        if rem:
+            raise PieceAgreementError(f"non-integral value {Fraction(num, den)} at {point_of(variables, coords)}")
+        out.append((i, value))
+    return out
 
 
 def point_of(variables, values) -> dict[str, int]:
@@ -723,17 +798,17 @@ def enum_value(family: str, point: Mapping[str, int]) -> int:
     return count_above_enum(Partition(lam), Partition(mu), point.get("c", 0))
 
 
-def _symmetry_class(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple:
+def _symmetry_class(lam: tuple[int, ...], mu: tuple[int, ...], dual: Callable = dual_parts) -> tuple:
     """The least of (lam, mu), (mu, lam), (lam*, mu*) and (mu*, lam*), on
-    parts, with * the dual of ``dual_parts``: pairs with one key have one
-    histogram, since c^nu_{lam,mu} = c^nu_{mu,lam} = c^{nu*}_{lam*,mu*} at
-    any rank.
+    parts, with * the dual of ``dual_parts`` (or of ``dual``, a cache of
+    it): pairs with one key have one histogram, since c^nu_{lam,mu} =
+    c^nu_{mu,lam} = c^{nu*}_{lam*,mu*} at any rank.
 
     lam -> lam* alone is not one of these identities: at rank 3 and for the
     rank-4 near-rectangular pairs it is lam -> lam-dagger, the conjecture the
     tables are checked against.
     """
-    lam_star, mu_star = dual_parts(lam), dual_parts(mu)
+    lam_star, mu_star = dual(lam), dual(mu)
     return min((lam, mu), (mu, lam), (lam_star, mu_star), (mu_star, lam_star))
 
 
@@ -743,13 +818,14 @@ def verify_family(family: str, bound: int):
 
     The scan reads coordinate tuples, in the table's variable order, and
     builds a point's mapping only for the mismatch it returns.  A full
-    table's last variable is the threshold c, and it is read through
-    ``evaluate_at`` at every point; the samples have no c (their threshold
-    is 0) and cover part of their support, so every containing piece is
-    checked, through ``values_at``.  The scan enumerates one histogram per
+    table's last variable is the threshold c, and each prefix's line of c
+    is read through ``evaluate_line``, point by point in order, with
+    ``evaluate_at``'s checks; the samples have no c (their threshold is 0)
+    and cover part of their support, so every containing piece is checked,
+    through ``values_at``.  The scan enumerates one histogram per
     ``_symmetry_class`` of (lam, mu), the first time a value of the class is
     checked, and reads every threshold from it, in the same point order as a
-    per-point scan.
+    per-point scan; it takes each factor's dual once.
     """
     if bound < 0:
         raise ValueError("verify range must be nonnegative")
@@ -758,21 +834,23 @@ def verify_family(family: str, bound: int):
     full = "c" in f.variables  # as an int: 1 when each prefix leaves out c, the last variable
     thresholds = range(bound + 1) if full else (0,)
     truths: dict[tuple, list[int]] = {}  # class -> #{nu : coefficient > c} for each c
+    dual = lru_cache(maxsize=None)(dual_parts)  # a few dozen factors in a box of thousands of pairs
     for coords in product(range(bound + 1), repeat=len(f.variables) - full):
+        # each point's (value, piece) on the prefix's line of c, or the samples' one list of (piece, value)
+        line = f.evaluate_line(coords, thresholds) if full else (f.values_at(coords),)
         truth = None
-        for c in thresholds:
-            x = coords + (c,) * full
-            values = [f.evaluate_at(x)[0]] if full else [v for _, v in f.values_at(x)]
+        for c, read in enumerate(line):
+            values = read[:1] if full else [v for _, v in read]
             if values and truth is None:
                 lam, mu = pair(coords)
-                key = _symmetry_class(lam, mu)
+                key = _symmetry_class(lam, mu, dual)
                 if key not in truths:
                     histogram = multiplicity_multiset(Partition(lam), Partition(mu))
                     truths[key] = [histogram.count_above(t) for t in thresholds]
                 truth = truths[key]
             for value in values:
                 if value != truth[c]:
-                    return point_of(f.variables, x), value, truth[c]
+                    return point_of(f.variables, coords + (c,) * full), value, truth[c]
     return None
 
 

@@ -67,11 +67,12 @@ _CHECKS = {
 
 
 def compare(check: str, lam: Partition, mu: Partition, *,
-            require_near_rectangular: bool = True, histogram=None) -> Verdict:
+            require_near_rectangular: bool = True, histogram=None, dagger: Partition | None = None) -> Verdict:
     """Run ``check`` (conj1 | conj2 | cz_sum) on (lam, mu) vs (lam-dagger, mu).
 
     conj1 and conj2 SKIP a lam that is not near-rectangular if required.
-    ``histogram(lam, mu)`` gives each multiplicity multiset (default: computed).
+    ``histogram(lam, mu)`` gives each multiplicity multiset (default: computed),
+    and ``dagger`` is lam-dagger (default: built here).
     """
     common_rank(lam, mu)
     project, witness = _CHECKS[check]
@@ -79,7 +80,7 @@ def compare(check: str, lam: Partition, mu: Partition, *,
         return Verdict(SKIP, check, lam, mu, witness="lambda is not near-rectangular")
     histogram = histogram or multiplicity_multiset
     left = project(histogram(lam, mu))
-    right = project(histogram(dual_star(lam), mu))
+    right = project(histogram(dual_star(lam) if dagger is None else dagger, mu))
     if left == right:
         return Verdict(PASS, check, lam, mu, left, right)
     return Verdict(FAIL, check, lam, mu, left, right, witness=witness(left, right))
@@ -295,12 +296,14 @@ def sweep(config: SweepConfig, version: str = "0") -> VerificationReport:
     lam-dagger of grid point (a, b) is grid point (b, a), so each distinct
     (lam, mu) histogram is computed once, over at most ``jobs`` processes:
     never more than there are pairs or CPUs, since the pool forks every
-    worker up front.  Case order is canonical and the report is
+    worker up front.  Each distinct lam's dagger is built once, for the
+    pair list and the comparisons alike.  Case order is canonical and the report is
     byte-identical across runs.
     """
     cases = sweep_cases(config)
+    daggers = {lam: dual_star(lam) for lam in dict.fromkeys(lam for lam, _ in cases)}
     pairs = list(dict.fromkeys(
-        pair for lam, mu in cases for pair in ((lam, mu), (dual_star(lam), mu))))
+        pair for lam, mu in cases for pair in ((lam, mu), (daggers[lam], mu))))
     workers = min(config.jobs, len(pairs), os.cpu_count() or 1)
     # "auto" per nu, not the product, until ROADMAP item 8 reads the worker's own peak memory
     if workers > 1:
@@ -313,7 +316,8 @@ def sweep(config: SweepConfig, version: str = "0") -> VerificationReport:
         found = [multiplicity_multiset(lam, mu, "auto") for lam, mu in pairs]
     histograms = dict(zip(pairs, found))
     verdicts = tuple(compare(config.check, lam, mu, require_near_rectangular=False,
-                             histogram=lambda *pair: histograms[pair]) for lam, mu in cases)
+                             histogram=lambda *pair: histograms[pair], dagger=daggers[lam])
+                     for lam, mu in cases)
     report = VerificationReport(config, verdicts, version)
     report.write()
     return report

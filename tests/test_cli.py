@@ -484,6 +484,32 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    """A call that starts with a command builds that subcommand's parser
+    alone; help, no arguments and an unknown command build all ten."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "lr", "--lambda", "1", "--mu", "1", "--nu", "2", "--n", "2") == (0, "1\n")
+        assert built == ["lrhive", "lrhive lr"]
+        for argv in (["--help"], [], ["bogus"]):
+            built.clear()
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert len(built) == 11 and built[0] == "lrhive", argv
+            cli.build_parser.cache_clear()
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lr", "--lambda", "5,3", "--mu", "6,3", "--n", "3"])  # missing --nu

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -341,6 +342,8 @@ def test_repeated_variable_rejected():
     everywhere = Cone.make([])
     with pytest.raises(ValueError, match=r"repeated variable in \['x', 'x'\]"):
         PiecewiseFunction(("x", "x"), everywhere, ())
+    with pytest.raises(ValueError, match="at least one variable"):  # it is read along its last
+        PiecewiseFunction((), everywhere, ())
 
 
 def _outcome(call):
@@ -407,11 +410,18 @@ def _ref_piece_value(piece, variables, point):
     return branch, total
 
 
+_REF_HITS = {}  # (id(table), coordinates) -> _ref_hits; _REF_TABLES keeps each table, so its id
+
+
 def _ref_hits(f, point):
-    """(index, branch index, value) of every piece whose cone contains ``point``."""
+    """(index, branch index, value) of every piece whose cone contains
+    ``point``, cached, since the point and line tests share most points."""
     variables, _, pieces = _ref_table(f)
-    return [(i, *_ref_piece_value(piece, variables, point))
-            for i, piece in enumerate(pieces) if _ref_contains(piece[0], point)]
+    key = id(f), tuple(point[v] for v in variables)
+    if key not in _REF_HITS:
+        _REF_HITS[key] = [(i, *_ref_piece_value(piece, variables, point))
+                          for i, piece in enumerate(pieces) if _ref_contains(piece[0], point)]
+    return _REF_HITS[key]
 
 
 def _ref_values(hits, point):
@@ -475,6 +485,74 @@ def test_every_small_point_matches_fraction_reference(family):
 def test_random_points_match_fraction_reference(family, coords):
     f = family_function(family)
     _assert_matches_reference(f, point_of(f.variables, coords))
+
+
+@pytest.mark.parametrize("family", sorted(piecewise.FAMILIES))
+def test_every_small_line_matches_fraction_reference(family):
+    """``evaluate_line`` (the support's interval on the line, the sign bits
+    and monomials fixed per line) against the Fraction reference on the
+    line of every prefix in [-1, 4]^4, its last coordinate over [-1, 6]:
+    values, piece indices and each PieceAgreementError message.  A line
+    that raises ends there, and the scan reads on from the next point, as a
+    new line."""
+    f = family_function(family)
+    for prefix in product(range(-1, 5), repeat=len(f.variables) - 1):
+        start = -1
+        while start <= 6:
+            line = f.evaluate_line(prefix, range(start, 7))
+            for t in range(start, 7):
+                point = point_of(f.variables, prefix + (t,))
+                start = t + 1
+                expected = _outcome(lambda: _ref_evaluate(f, point, _ref_hits(f, point)))
+                got = _outcome(lambda: next(line))
+                assert got == expected, point
+                if got[0] == "PieceAgreementError":
+                    break
+    with pytest.raises(ValueError, match="steps of 1"):
+        f.evaluate_line((0,) * (len(f.variables) - 1), range(0, 6, 2))
+
+
+def test_line_meets_the_support_in_exact_integer_bounds():
+    """Support forms whose coefficient of the last variable is not +-1:
+    t >= ceil(x / 2) and t <= floor((x + 3) / 3), on lines through negative
+    and positive prefixes, against the Fraction reference point by point."""
+    x, t = (Polynomial.var(("x", "t"), v) for v in ("x", "t"))
+    f = PiecewiseFunction(("x", "t"), Cone.make([2 * t - x, x + 3 - 3 * t]),
+                          ((Cone.make([]), QuasiPolynomial.plain(x + t + 1)),))
+    inside = 0
+    for prefix in range(-9, 10):
+        expected = []
+        for u in range(-6, 7):
+            point = {"x": prefix, "t": u}
+            expected.append(_ref_evaluate(f, point, _ref_hits(f, point)))
+        assert list(f.evaluate_line((prefix,), range(-6, 7))) == expected, prefix
+        inside += sum(index is not None for _, index in expected)
+    assert inside == 27
+
+
+def test_verify_family_reads_a_line_in_order(monkeypatch):
+    """A line is read point by point: on a broken gl3 table whose last line
+    in [0, 3]^5 has a value mismatch at c = 1 and a piece disagreement at
+    c = 3, verify_family returns the c = 1 mismatch, as the per-point scan
+    does, and does not raise."""
+    f = family_function("gl3")
+    V = f.variables
+    k1, k2, l1, l2, c = (Polynomial.var(V, v) for v in V)
+    bump = c * binom3(k1) * binom3(k2) * binom3(l1) * binom3(l2)  # in [0, 3]^5: c on the last line, else 0
+    corner = (Cone.make([k1 - 3, k2 - 3, l1 - 3, l2 - 3, c - 3]),
+              QuasiPolynomial.plain(Polynomial.const(V, 999)))
+    broken = PiecewiseFunction(V, f.support, tuple(
+        (cone, QuasiPolynomial.plain(q.branches[0] + bump)) for cone, q in f.pieces) + (corner,))
+    last = (3, 3, 3, 3)
+    with pytest.raises(PieceAgreementError, match="disagree"):
+        broken.evaluate_at(last + (3,))
+    truth = enum_value("gl3", point_of(V, last + (1,)))
+    expected = point_of(V, last + (1,)), truth + 1, truth
+    points = (point_of(V, coords) for coords in product(range(4), repeat=5))
+    checked = ((point, broken.evaluate(point)[0], enum_value("gl3", point)) for point in points)
+    assert next(m for m in checked if m[1] != m[2]) == expected
+    monkeypatch.setattr(piecewise, "family_function", lambda _: broken)
+    assert verify_family("gl3", 3) == expected
 
 
 def test_non_integral_values_raise():
@@ -594,6 +672,19 @@ def test_verify_family_first_mismatch_matches_per_point_scan(family, monkeypatch
 CLASS_COUNTS = {("gl3", 5): 351, ("gl4nr2", 3): 76}
 # the samples enumerate only where a piece contains the point: 48 pairs, one per class
 HISTOGRAM_COUNTS = {**CLASS_COUNTS, ("gl4nr-samples", 3): 48}
+
+
+@pytest.mark.parametrize("family, bound", sorted(CLASS_COUNTS))
+def test_verify_family_benchmark_boxes(family, bound, monkeypatch):
+    """The boxes ``piecewise --verify-range`` is timed on agree with
+    enumeration, and the scan takes each factor's dual once (36 for gl3 @ 5,
+    16 for gl4nr2 @ 3), not twice per prefix."""
+    duals = Counter()
+    dual = piecewise.dual_parts
+    monkeypatch.setattr(piecewise, "dual_parts", lambda parts: duals.update([parts]) or dual(parts))
+    assert verify_family(family, bound) is None
+    pair = piecewise.FAMILIES[family][1]
+    assert duals == Counter({parts for coords in product(range(bound + 1), repeat=4) for parts in pair(coords)})
 
 
 def _built_pair(family, point):

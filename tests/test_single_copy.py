@@ -82,11 +82,11 @@ def test_piecewise_table_parts_do_not_evaluate():
 
 def test_piecewise_table_evaluated_by_its_own_methods():
     """Only ``PiecewiseFunction``'s own methods read its compiled form
-    (``_compiled``) or its kernel (``_containing``); everything else,
-    ``verify_family`` included, evaluates through ``evaluate_at`` and
-    ``values_at`` or their mapping adapters, so no second evaluator grows
-    beside them."""
-    internal = {"_compiled", "_containing"}
+    (``_compiled``) or its kernel (``_line``); everything else,
+    ``verify_family`` included, evaluates through ``evaluate_line``,
+    ``evaluate_at`` and ``values_at`` or their mapping adapters, so no
+    second evaluator grows beside them."""
+    internal = {"_compiled", "_line"}
     inside, outside = set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())

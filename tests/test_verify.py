@@ -274,3 +274,16 @@ def test_sweep_computes_each_distinct_histogram_once(monkeypatch):
     assert calls == Counter(distinct)
     # lam-dagger of a grid point is a grid point: half of the 2 * cases pairs repeat
     assert len(distinct) == len(cases)
+
+
+def test_sweep_builds_each_dagger_once(monkeypatch):
+    """lam-dagger is built once per distinct lam of the case list, injected
+    cases included, and serves both the pair list and the comparisons."""
+    built = Counter()
+    dagger = verify.dual_star
+    monkeypatch.setattr(verify, "dual_star", lambda lam: built.update([lam]) or dagger(lam))
+    cfg = SweepConfig(n=5, max_nr=1, max_mu_size=2, check="conj1", extra_cases=INJECTED)
+    cases = sweep_cases(cfg)
+    assert len(sweep(cfg).verdicts) == len(cases)
+    assert built == Counter({lam for lam, _ in cases})
+    assert len(built) < len(cases)
