@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -382,6 +382,9 @@ class PiecewiseFunction(Record):
         monomials free of t.  Once per point: those other forms' signs, the
         monomials that read t, and each containing piece's branch.
         """
+        if len(prefix) != len(self.variables) - 1:
+            raise ValueError(f"a point of ({','.join(self.variables)}) has {len(self.variables)} "
+                             f"coordinates, not {len(prefix) + 1}")
         _, support, forms, cones, pieces, (per_line, per_point), memo = self._compiled
         lo, hi = ts.start, ts.stop - 1
         if checked:
@@ -444,8 +447,8 @@ class PiecewiseFunction(Record):
         """``evaluate_at`` at the point prefix + (t,) for each t in ``ts``,
         a range of step 1, lazily and in order: ``prefix`` holds every
         coordinate but the last, in the order of ``variables``."""
-        if ts.step != 1:
-            raise ValueError(f"a line is read in steps of 1, not {ts.step}")
+        if not isinstance(ts, range) or ts.step != 1:
+            raise ValueError(f"a line is read over a range in steps of 1, not {ts!r}")
         return self._line(prefix, ts, True)
 
     def evaluate_at(self, coords: tuple[int, ...]) -> tuple[int, int | None]:
@@ -455,15 +458,15 @@ class PiecewiseFunction(Record):
 
         Every containing piece is evaluated and agreement is asserted, always.
         """
-        t = coords[-1]
-        return next(self._line(coords[:-1], range(t, t + 1), True))
+        *prefix, t = coords
+        return next(self._line(prefix, range(t, t + 1), True))
 
     def values_at(self, coords: tuple[int, ...]) -> list[tuple[int, int]]:
         """(index, value) of every piece whose cone contains the point whose
         coordinates, in the order of ``variables``, are ``coords``, each
         evaluated on its own: no support test and no agreement check."""
-        t = coords[-1]
-        return next(self._line(coords[:-1], range(t, t + 1), False))
+        *prefix, t = coords
+        return next(self._line(prefix, range(t, t + 1), False))
 
     def evaluate(self, point: Mapping[str, int]) -> tuple[int, int | None]:
         """``evaluate_at`` at the point of a mapping from variable names."""
@@ -767,14 +770,13 @@ def _nr(n: int, a: int, b: int) -> tuple[int, ...]:
     return padded_parts((a + b,), b, (0,), n)
 
 
-# each family's table builder and the map from a point's coordinates, in the
-# table's variable order (c, if there, is not read), to the parts of the
-# (lam, mu) it stands for; in the order the CLI lists them
+# each family's table builder and its two factor maps, on coordinates as
+# arguments: lam's parts from (k1, k2), mu's from the rest but c; in CLI order
 FAMILIES = {
-    "gl3": (gl3_count_function, lambda x: (_nr(3, x[0], x[1]), _nr(3, x[2], x[3]))),
-    "gl4nr2": (gl4nr2_count_function, lambda x: (_nr(4, x[0], x[1]), _nr(4, x[2], x[3]))),
+    "gl3": (gl3_count_function, partial(_nr, 3), partial(_nr, 3)),
+    "gl4nr2": (gl4nr2_count_function, partial(_nr, 4), partial(_nr, 4)),
     # the samples' mu is any (m1, m2, m3, 0)
-    "gl4nr-samples": (gl4nr_samples_function, lambda x: (_nr(4, x[0], x[1]), (*x[2:5], 0))),
+    "gl4nr-samples": (gl4nr_samples_function, partial(_nr, 4), lambda *m: (*m, 0)),
 }
 
 
@@ -793,64 +795,57 @@ def family_function(family: str) -> PiecewiseFunction:
 def enum_value(family: str, point: Mapping[str, int]) -> int:
     """Enumeration ground truth for one table point; the threshold is 0 in a
     table without a c variable."""
-    pair = _family(family)[1]
-    lam, mu = pair(tuple(point[v] for v in family_function(family).variables))
-    return count_above_enum(Partition(lam), Partition(mu), point.get("c", 0))
-
-
-def _symmetry_class(lam: tuple[int, ...], mu: tuple[int, ...], dual: Callable = dual_parts) -> tuple:
-    """The least of (lam, mu), (mu, lam), (lam*, mu*) and (mu*, lam*), on
-    parts, with * the dual of ``dual_parts`` (or of ``dual``, a cache of
-    it): pairs with one key have one histogram, since c^nu_{lam,mu} =
-    c^nu_{mu,lam} = c^{nu*}_{lam*,mu*} at any rank.
-
-    lam -> lam* alone is not one of these identities: at rank 3 and for the
-    rank-4 near-rectangular pairs it is lam -> lam-dagger, the conjecture the
-    tables are checked against.
-    """
-    lam_star, mu_star = dual(lam), dual(mu)
-    return min((lam, mu), (mu, lam), (lam_star, mu_star), (mu_star, lam_star))
+    _, lam, mu = _family(family)
+    x = [point[v] for v in family_function(family).variables if v != "c"]
+    return count_above_enum(Partition(lam(*x[:2])), Partition(mu(*x[2:])), point.get("c", 0))
 
 
 def verify_family(family: str, bound: int):
     """Scan all integer points with coordinates in [0, bound]; return the first
     (point, table value, enumeration value) mismatch, or None.
 
-    The scan reads coordinate tuples, in the table's variable order, and
-    builds a point's mapping only for the mismatch it returns.  A full
-    table's last variable is the threshold c, and each prefix's line of c
-    is read through ``evaluate_line``, point by point in order, with
-    ``evaluate_at``'s checks; the samples have no c (their threshold is 0)
-    and cover part of their support, so every containing piece is checked,
-    through ``values_at``.  The scan enumerates one histogram per
-    ``_symmetry_class`` of (lam, mu), the first time a value of the class is
-    checked, and reads every threshold from it, in the same point order as a
-    per-point scan; it takes each factor's dual once.
+    The scan reads coordinate tuples, in the table's variable order, lam's
+    outside mu's, and builds a point's mapping only for the mismatch it
+    returns.  A full table's last variable is the threshold c, and each
+    prefix's line of c is read through ``evaluate_line``, point by point in
+    order, with ``evaluate_at``'s checks; the samples have no c (their
+    threshold is 0) and cover part of their support, so every containing
+    piece is checked, through ``values_at``.  Each factor's parts and dual
+    are built once per factor coordinate.  The scan enumerates one histogram
+    per class of (lam, mu), the first time a value of the class is checked,
+    and reads every threshold from it.
     """
     if bound < 0:
         raise ValueError("verify range must be nonnegative")
-    pair = _family(family)[1]
+    _, lam_parts, mu_parts = _family(family)
     f = family_function(family)
     full = "c" in f.variables  # as an int: 1 when each prefix leaves out c, the last variable
     thresholds = range(bound + 1) if full else (0,)
+    # (coordinates, parts, dual) of each lam factor, then of each mu factor
+    lams, mus = ([(x, parts, dual_parts(parts)) for x in product(range(bound + 1), repeat=arity)
+                  for parts in (factor(*x),)]
+                 for factor, arity in ((lam_parts, 2), (mu_parts, len(f.variables) - full - 2)))
     truths: dict[tuple, list[int]] = {}  # class -> #{nu : coefficient > c} for each c
-    dual = lru_cache(maxsize=None)(dual_parts)  # a few dozen factors in a box of thousands of pairs
-    for coords in product(range(bound + 1), repeat=len(f.variables) - full):
-        # each point's (value, piece) on the prefix's line of c, or the samples' one list of (piece, value)
-        line = f.evaluate_line(coords, thresholds) if full else (f.values_at(coords),)
-        truth = None
-        for c, read in enumerate(line):
-            values = read[:1] if full else [v for _, v in read]
-            if values and truth is None:
-                lam, mu = pair(coords)
-                key = _symmetry_class(lam, mu, dual)
-                if key not in truths:
-                    histogram = multiplicity_multiset(Partition(lam), Partition(mu))
-                    truths[key] = [histogram.count_above(t) for t in thresholds]
-                truth = truths[key]
-            for value in values:
-                if value != truth[c]:
-                    return point_of(f.variables, coords + (c,) * full), value, truth[c]
+    for k, lam, lam_star in lams:
+        for m, mu, mu_star in mus:
+            coords = k + m
+            # each point's (value, piece) on the prefix's line of c, or the samples' one list of (piece, value)
+            line = f.evaluate_line(coords, thresholds) if full else (f.values_at(coords),)
+            truth = None
+            for c, read in enumerate(line):
+                values = read[:1] if full else [v for _, v in read]
+                if values and truth is None:
+                    # one histogram per key: c^nu_{lam,mu} = c^nu_{mu,lam} = c^{nu*}_{lam*,mu*}.
+                    # lam -> lam* alone is no such identity: for these rank-3 and near-rectangular
+                    # rank-4 lam it is lam -> lam-dagger, the conjecture the tables are checked against
+                    key = min((lam, mu), (mu, lam), (lam_star, mu_star), (mu_star, lam_star))
+                    if key not in truths:
+                        histogram = multiplicity_multiset(Partition(lam), Partition(mu))
+                        truths[key] = [histogram.count_above(t) for t in thresholds]
+                    truth = truths[key]
+                for value in values:
+                    if value != truth[c]:
+                        return point_of(f.variables, coords + (c,) * full), value, truth[c]
     return None
 
 

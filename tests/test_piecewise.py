@@ -512,6 +512,27 @@ def test_every_small_line_matches_fraction_reference(family):
         f.evaluate_line((0,) * (len(f.variables) - 1), range(0, 6, 2))
 
 
+@pytest.mark.parametrize("family", ["gl3", "gl4nr-samples"])
+def test_point_of_the_wrong_length_rejected(family):
+    """The tuple readers raise ValueError, naming the table's variables, on a
+    point with one coordinate too many or too few, once per call or line;
+    with none, the point readers raise ValueError, and a line is read over a
+    range only."""
+    f = family_function(family)
+    n = len(f.variables)
+    readers = (f.evaluate_at, f.values_at, lambda coords: list(f.evaluate_line(coords[:-1], range(2))))
+    for coords in ((1, 1, 1, 1, 9, 0), (1, 1, 1, 0, 0, 5), (1,) * (n - 1), (9,)):
+        for read in readers:
+            with pytest.raises(ValueError, match=rf"\({','.join(f.variables)}\) has {n} coordinates, "
+                                                 rf"not {len(coords)}"):
+                read(coords)
+    for read in readers[:2]:
+        with pytest.raises(ValueError):
+            read(())
+    with pytest.raises(ValueError, match="range"):
+        f.evaluate_line((0,) * (n - 1), [0, 1])
+
+
 def test_line_meets_the_support_in_exact_integer_bounds():
     """Support forms whose coefficient of the last variable is not +-1:
     t >= ceil(x / 2) and t <= floor((x + 3) / 3), on lines through negative
@@ -640,31 +661,44 @@ def test_branch_over_other_variables_rejected():
 @pytest.mark.parametrize("family", ["gl3", "gl4nr2", "gl4nr-samples"])
 def test_verify_family_first_mismatch_matches_per_point_scan(family, monkeypatch):
     """verify_family returns the first mismatch of a per-point scan, which
-    reads a full table through evaluate and the samples through values."""
+    reads a full table through evaluate and the samples through values.
+    gl3 is also broken at c = 0 at (k1, k2, l1) = (0, 0, 2) and at
+    (k1, k2, l1, l2) = (0, 1, 0, 0): a scan that ran over mu's coordinates
+    outside lam's would return the second first."""
     f = family_function(family)
     V = f.variables
+    cases = []  # (broken table, its values at a point, test of the first mismatch)
     if "c" in V:
-        k1, l2, c = (Polynomial.var(V, v) for v in ("k1", "l2", "c"))
-        bump = k1 * l2 * c  # zero on most of the range, so the mismatch is not the first point
-        broken = PiecewiseFunction(V, f.support, tuple(
-            (cone, QuasiPolynomial.plain(q.branches[0] + bump)) for cone, q in f.pieces))
-        read = lambda point: [broken.evaluate(point)[0]]
-        first = lambda point: point["c"] > 0
+        k1, k2, l1, l2, c = (Polynomial.var(V, v) for v in ("k1", "k2", "l1", "l2", "c"))
+        # on [0, 2], 1 at x = a and 0 elsewhere
+        at = lambda x, a: ((x - 1) * (x - 2) * Fraction(1, 2), x * (x - 2) * -1,
+                           x * (x - 1) * Fraction(1, 2))[a]
+        # k1 l2 c is zero on most of the range, so the mismatch is not the first point
+        bumps = [(k1 * l2 * c, lambda point: point["c"] > 0)]
+        if family == "gl3":
+            bumps.append((at(k1, 0) * at(k2, 0) * at(l1, 2) + at(k1, 0) * at(k2, 1) * at(l1, 0) * at(l2, 0),
+                          lambda point: list(point.values()) == [0, 0, 2, 0, 0]))
+        for bump, first in bumps:
+            broken = PiecewiseFunction(V, f.support, tuple(
+                (cone, QuasiPolynomial.plain(q.branches[0] + bump)) for cone, q in f.pieces))
+            cases.append((broken, lambda point, broken=broken: [broken.evaluate(point)[0]], first))
     else:  # break the last piece, so the mismatch is read after two agreeing pieces
         k1, m2 = (Polynomial.var(V, v) for v in ("k1", "m2"))
         cone, q = f.pieces[2]
         broken = PiecewiseFunction(V, f.support, (*f.pieces[:2], (cone, QuasiPolynomial.plain(
             q.branches[0] + k1 * m2))))
         read = lambda point: [value for _, value in broken.values(point)]
-        first = lambda point: list(point.values()) == [1, 1, 1, 1, 0] and len(read(point)) == 3
-    points = (point_of(V, coords) for coords in product(range(3), repeat=len(V)))
-    checked = ((point, value, enum_value(family, point)) for point in points for value in read(point))
-    expected = next(m for m in checked if m[1] != m[2])
-    assert first(expected[0])
-    monkeypatch.setattr(piecewise, "family_function", lambda _: broken)
-    got = verify_family(family, 2)
-    assert got == expected
-    assert list(got[0]) == list(V)  # printed in the table's variable order
+        cases.append((broken, read,
+                      lambda point: list(point.values()) == [1, 1, 1, 1, 0] and len(read(point)) == 3))
+    for broken, read, first in cases:
+        points = (point_of(V, coords) for coords in product(range(3), repeat=len(V)))
+        checked = ((point, value, enum_value(family, point)) for point in points for value in read(point))
+        expected = next(m for m in checked if m[1] != m[2])
+        assert first(expected[0])
+        monkeypatch.setattr(piecewise, "family_function", lambda _: broken)
+        got = verify_family(family, 2)
+        assert got == expected
+        assert list(got[0]) == list(V)  # printed in the table's variable order
 
 
 # (family, bound) -> histograms verify_family enumerates: one per class of
@@ -677,14 +711,19 @@ HISTOGRAM_COUNTS = {**CLASS_COUNTS, ("gl4nr-samples", 3): 48}
 @pytest.mark.parametrize("family, bound", sorted(CLASS_COUNTS))
 def test_verify_family_benchmark_boxes(family, bound, monkeypatch):
     """The boxes ``piecewise --verify-range`` is timed on agree with
-    enumeration, and the scan takes each factor's dual once (36 for gl3 @ 5,
-    16 for gl4nr2 @ 3), not twice per prefix."""
-    duals = Counter()
-    dual = piecewise.dual_parts
+    enumeration, and the scan builds each factor's parts and dual once per
+    factor coordinate: 2 (bound + 1)^2 map calls and duals (72 for gl3 @ 5,
+    32 for gl4nr2 @ 3), not two per prefix."""
+    _, lam, mu = piecewise.FAMILIES[family]
+    box = list(product(range(bound + 1), repeat=2))
+    factors = Counter(lam(*x) for x in box) + Counter(mu(*x) for x in box)
+    pads, duals = [], Counter()
+    pad, dual = piecewise.padded_parts, piecewise.dual_parts
+    monkeypatch.setattr(piecewise, "padded_parts", lambda *args: pads.append(args) or pad(*args))
     monkeypatch.setattr(piecewise, "dual_parts", lambda parts: duals.update([parts]) or dual(parts))
     assert verify_family(family, bound) is None
-    pair = piecewise.FAMILIES[family][1]
-    assert duals == Counter({parts for coords in product(range(bound + 1), repeat=4) for parts in pair(coords)})
+    assert len(pads) == 2 * len(box)
+    assert duals == factors
 
 
 def _built_pair(family, point):
@@ -699,31 +738,32 @@ def _built_pair(family, point):
 @pytest.mark.parametrize("family, bound", sorted(HISTOGRAM_COUNTS))
 def test_family_parts_match_partitions(family, bound):
     """At every prefix the scan reads (all coordinates but c), each family's
-    map gives the parts of the pair ``padded`` and ``Partition`` build, and
-    the class key on parts is the key built from ``dual_star``."""
+    two factor maps give the parts of the pair ``padded`` and ``Partition``
+    build, and the dual the scan takes of them is ``dual_star``'s."""
     f = family_function(family)
-    pair = piecewise.FAMILIES[family][1]
+    _, lam_parts, mu_parts = piecewise.FAMILIES[family]
     for coords in product(range(bound + 1), repeat=len(f.variables) - ("c" in f.variables)):
         point = point_of(f.variables, coords)
         if family == "gl4nr-samples" and not point["m1"] >= point["m2"] >= point["m3"]:
             continue  # outside every sample piece: mu is no partition, and the scan reads no pair
         lam, mu = _built_pair(family, point)
-        assert pair(coords) == (lam.parts, mu.parts), point
-        lam_star, mu_star = dual_star(lam).parts, dual_star(mu).parts
-        assert piecewise._symmetry_class(lam.parts, mu.parts) == min(
-            (lam.parts, mu.parts), (mu.parts, lam.parts), (lam_star, mu_star), (mu_star, lam_star))
+        assert (lam_parts(*coords[:2]), mu_parts(*coords[2:])) == (lam.parts, mu.parts), point
+        for factor in (lam, mu):
+            assert piecewise.dual_parts(factor.parts) == dual_star(factor).parts, point
 
 
 @pytest.mark.parametrize("family, bound", sorted(CLASS_COUNTS))
 def test_pairs_of_one_class_share_a_histogram(family, bound):
-    """Every (lam, mu) of the scan has the histogram of its class."""
-    f = family_function(family)
-    pair = piecewise.FAMILIES[family][1]
+    """Every (lam, mu) of the scan has the histogram of its class: the least
+    of (lam, mu), (mu, lam), (lam*, mu*) and (mu*, lam*)."""
+    _, lam_parts, mu_parts = piecewise.FAMILIES[family]
     shared = {}
-    for coords in product(range(bound + 1), repeat=len(f.variables) - 1):
-        lam, mu = pair(coords)
-        own = multiplicity_multiset(Partition(lam), Partition(mu))
-        assert shared.setdefault(piecewise._symmetry_class(lam, mu), own) == own, (lam, mu)
+    for coords in product(range(bound + 1), repeat=4):
+        lam, mu = Partition(lam_parts(*coords[:2])), Partition(mu_parts(*coords[2:]))
+        own = multiplicity_multiset(lam, mu)
+        key = min((lam.parts, mu.parts), (mu.parts, lam.parts), (dual_star(lam).parts, dual_star(mu).parts),
+                  (dual_star(mu).parts, dual_star(lam).parts))
+        assert shared.setdefault(key, own) == own, (lam, mu)
     assert len(shared) == CLASS_COUNTS[family, bound]
 
 
