@@ -101,11 +101,6 @@ class Polynomial(Record):
         e[tuple(variables).index(name)] = 1
         return cls(tuple(variables), ((tuple(e), 1),))
 
-    @property
-    def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-        """(exponents, rational coefficient) pairs, sorted by exponents."""
-        return tuple((e, Fraction(c, self.denominator)) for e, c in self.numerators)
-
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             if other.variables != self.variables:
@@ -366,31 +361,33 @@ class PiecewiseFunction(Record):
         support = tuple(_line_form(form, last) for form in sorted(map(_affine, self.support.constraints)))
         return _getter(self.variables), support, forms, cones, pieces, recipes, {}
 
-    def _line(self, prefix: tuple[int, ...], ts: range, checked: bool) -> Iterator:
-        """The table at the points prefix + (t,), t in ``ts`` (a range of
-        step 1), lazily and in order, so a reader that stops early makes no
-        later point raise.  Checked, each point reads as ``evaluate_at``
-        gives it: (0, None) outside the support, else (value, lowest
-        containing piece), after the agreement checks.  Unchecked, each
-        point reads as ``values_at`` gives it: (index, value) of every
+    def _line(self, x: list[int], count: int, checked: bool) -> Iterator:
+        """The table at ``count`` points, from the point ``x`` on in steps of
+        1 in the last coordinate t, lazily and in order, so a reader that
+        stops early makes no later point raise; each point is written into
+        ``x``, the caller's own list.  Checked, each point reads as
+        ``evaluate_at`` gives it: (0, None) outside the support, else (value,
+        lowest containing piece), after the agreement checks.  Unchecked,
+        each point reads as ``values_at`` gives it: (index, value) of every
         containing piece.
 
         Once per line: the support's interval in t, in exact floor and
-        ceiling division, and nothing more if no point of ``ts`` is in it;
+        ceiling division, and nothing more if no point of the line is in it;
         the signs of the cone forms that do not read t; the other forms'
         values at t = 0; and, at the line's first point in a piece, the
         monomials free of t.  Once per point: those other forms' signs, the
         monomials that read t, and each containing piece's branch.
         """
-        if len(prefix) != len(self.variables) - 1:
+        if len(x) != len(self.variables):  # the one length check of every reader
             raise ValueError(f"a point of ({','.join(self.variables)}) has {len(self.variables)} "
-                             f"coordinates, not {len(prefix) + 1}")
+                             f"coordinates, not {len(x)}")
+        ts = range(x[-1], x[-1] + count)
         _, support, forms, cones, pieces, (per_line, per_point), memo = self._compiled
         lo, hi = ts.start, ts.stop - 1
         if checked:
             for value, terms, slope in support:
                 for j, c in terms:
-                    value += c * prefix[j]
+                    value += c * x[j]
                 if slope > 0:  # value + slope * t >= 0 from t = ceil(-value / slope) on
                     value = -(value // slope)
                     if value > lo:
@@ -408,12 +405,11 @@ class PiecewiseFunction(Record):
         fixed, moving = 0, []  # the mask bits of the forms free of t; (bit, value at t = 0, slope) of the rest
         for bit, value, terms, slope in forms:
             for j, c in terms:
-                value += c * prefix[j]
+                value += c * x[j]
             if slope:
                 moving.append((bit, value, slope))
             elif value >= 0:
                 fixed |= bit
-        x = [*prefix, 0]  # the point, its last coordinate set per point
         monomials = None  # filled at the first point in a piece
         for t in ts:
             if not lo <= t <= hi:
@@ -449,7 +445,7 @@ class PiecewiseFunction(Record):
         coordinate but the last, in the order of ``variables``."""
         if not isinstance(ts, range) or ts.step != 1:
             raise ValueError(f"a line is read over a range in steps of 1, not {ts!r}")
-        return self._line(prefix, ts, True)
+        return self._line([*prefix, ts.start], len(ts), True)
 
     def evaluate_at(self, coords: tuple[int, ...]) -> tuple[int, int | None]:
         """Value and lowest containing piece index at the point whose
@@ -458,15 +454,13 @@ class PiecewiseFunction(Record):
 
         Every containing piece is evaluated and agreement is asserted, always.
         """
-        *prefix, t = coords
-        return next(self._line(prefix, range(t, t + 1), True))
+        return next(self._line([*coords], 1, True))
 
     def values_at(self, coords: tuple[int, ...]) -> list[tuple[int, int]]:
         """(index, value) of every piece whose cone contains the point whose
         coordinates, in the order of ``variables``, are ``coords``, each
         evaluated on its own: no support test and no agreement check."""
-        *prefix, t = coords
-        return next(self._line(prefix, range(t, t + 1), False))
+        return next(self._line([*coords], 1, False))
 
     def evaluate(self, point: Mapping[str, int]) -> tuple[int, int | None]:
         """``evaluate_at`` at the point of a mapping from variable names."""
@@ -868,7 +862,7 @@ def _poly_to_json(p: Polynomial) -> dict:
     return {
         "monomials": [
             {"exponents": list(e), "numerator": c.numerator, "denominator": c.denominator}
-            for e, c in p.terms
+            for e, c in ((e, Fraction(c, p.denominator)) for e, c in p.numerators)  # each reduced
         ]
     }
 

@@ -66,21 +66,20 @@ _CHECKS = {
 }
 
 
-def compare(check: str, lam: Partition, mu: Partition, *,
-            require_near_rectangular: bool = True, histogram=None, dagger: Partition | None = None) -> Verdict:
-    """Run ``check`` (conj1 | conj2 | cz_sum) on (lam, mu) vs (lam-dagger, mu).
-
-    conj1 and conj2 SKIP a lam that is not near-rectangular if required.
-    ``histogram(lam, mu)`` gives each multiplicity multiset (default: computed),
-    and ``dagger`` is lam-dagger (default: built here).
-    """
+def compare(check: str, lam: Partition, mu: Partition) -> Verdict:
+    """Run ``check`` (conj1 | conj2 | cz_sum) on (lam, mu) vs (lam-dagger, mu);
+    conj1 and conj2 SKIP a lam that is not near-rectangular."""
     common_rank(lam, mu)
-    project, witness = _CHECKS[check]
-    if require_near_rectangular and check != "cz_sum" and not is_near_rectangular(lam):
+    if check != "cz_sum" and not is_near_rectangular(lam):
         return Verdict(SKIP, check, lam, mu, witness="lambda is not near-rectangular")
-    histogram = histogram or multiplicity_multiset
-    left = project(histogram(lam, mu))
-    right = project(histogram(dual_star(lam) if dagger is None else dagger, mu))
+    return _judge(check, lam, mu, multiplicity_multiset(lam, mu), multiplicity_multiset(dual_star(lam), mu))
+
+
+def _judge(check: str, lam: Partition, mu: Partition, left, right) -> Verdict:
+    """The one verdict rule: PASS or FAIL of ``check`` on the multiplicity
+    multisets ``left`` of (lam, mu) and ``right`` of (lam-dagger, mu)."""
+    project, witness = _CHECKS[check]
+    left, right = project(left), project(right)
     if left == right:
         return Verdict(PASS, check, lam, mu, left, right)
     return Verdict(FAIL, check, lam, mu, left, right, witness=witness(left, right))
@@ -99,7 +98,7 @@ def reproduce_gl5_counterexample() -> Verdict:
     """
     lam = Partition((3, 3, 2, 0, 0))
     mu = Partition((4, 4, 1, 0, 0))
-    v = compare("conj2", lam, mu, require_near_rectangular=False)
+    v = _judge("conj2", lam, mu, multiplicity_multiset(lam, mu), multiplicity_multiset(dual_star(lam), mu))
     if (v.left, v.right) == (34, 33):
         return Verdict(PASS, "repro-gl5", lam, mu, v.left, v.right)
     return Verdict(FAIL, "repro-gl5", lam, mu, v.left, v.right,
@@ -107,7 +106,7 @@ def reproduce_gl5_counterexample() -> Verdict:
 
 
 def stability_check(lam1: int, lam2: int, mu1: int, mu2: int,
-                    nu4: tuple[int, int, int, int], n_range=(4, 5, 6)) -> Verdict:
+                    nu4: tuple[int, int, int, int], n_range) -> Verdict:
     """Rank independence of the coefficient for near-rectangular factors.
 
     For each n, lam = (lam1, lam2^{n-2}, 0), mu = (mu1, mu2^{n-2}, 0) and
@@ -315,8 +314,7 @@ def sweep(config: SweepConfig, version: str = "0") -> VerificationReport:
     else:
         found = [multiplicity_multiset(lam, mu, "auto") for lam, mu in pairs]
     histograms = dict(zip(pairs, found))
-    verdicts = tuple(compare(config.check, lam, mu, require_near_rectangular=False,
-                             histogram=lambda *pair: histograms[pair], dagger=daggers[lam])
+    verdicts = tuple(_judge(config.check, lam, mu, histograms[lam, mu], histograms[daggers[lam], mu])
                      for lam, mu in cases)
     report = VerificationReport(config, verdicts, version)
     report.write()

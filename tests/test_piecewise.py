@@ -52,7 +52,7 @@ def test_polynomial_arithmetic():
     y = Polynomial.var(VARS, "y")
     p = (x + y) * (x - y)  # kept in lowest terms, so compared by equality
     assert p == x**2 - y**2
-    assert (p - x * x + y * y).terms == ()
+    assert (p - x * x + y * y).numerators == ()
     q = Fraction(1, 2) * x**2 + 1
     assert (q.numerators, q.denominator) == ((((0, 0), 2), ((2, 0), 1)), 2)
     assert p.permuted({"x": "y", "y": "x"}) == y**2 - x**2
@@ -515,9 +515,9 @@ def test_every_small_line_matches_fraction_reference(family):
 @pytest.mark.parametrize("family", ["gl3", "gl4nr-samples"])
 def test_point_of_the_wrong_length_rejected(family):
     """The tuple readers raise ValueError, naming the table's variables, on a
-    point with one coordinate too many or too few, once per call or line;
-    with none, the point readers raise ValueError, and a line is read over a
-    range only."""
+    point with one coordinate too many or too few, once per call or line,
+    and the point readers on a point with none; a line is read over a range
+    only."""
     f = family_function(family)
     n = len(f.variables)
     readers = (f.evaluate_at, f.values_at, lambda coords: list(f.evaluate_line(coords[:-1], range(2))))
@@ -527,7 +527,7 @@ def test_point_of_the_wrong_length_rejected(family):
                                                  rf"not {len(coords)}"):
                 read(coords)
     for read in readers[:2]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"\({','.join(f.variables)}\) has {n} coordinates, not 0"):
             read(())
     with pytest.raises(ValueError, match="range"):
         f.evaluate_line((0,) * (n - 1), [0, 1])

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import hashlib
+import inspect
 import json
 import os
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 
 from lrhive import verify
 from lrhive.partitions import Partition, bar_reduce, dual_star
+from lrhive.piecewise import multiplicity_multiset
 from lrhive.verify import (
     FAIL,
     PASS,
@@ -78,10 +80,17 @@ def test_gl5_counterexample():
     v = reproduce_gl5_counterexample()
     assert v.status == PASS
     assert (v.left, v.right) == (34, 33)
-    # conjecture 2 itself fails on the pair when forced to run
-    forced = compare("conj2", Partition((3, 3, 2, 0, 0)), Partition((4, 4, 1, 0, 0)),
-                     require_near_rectangular=False)
+    # conjecture 2 itself fails on the pair when judged past the near-rectangular SKIP
+    lam, mu = Partition((3, 3, 2, 0, 0)), Partition((4, 4, 1, 0, 0))
+    forced = verify._judge("conj2", lam, mu, multiplicity_multiset(lam, mu),
+                           multiplicity_multiset(dual_star(lam), mu))
     assert forced.status == FAIL
+    assert compare("conj2", lam, mu).status == SKIP
+
+
+def test_compare_takes_check_lambda_mu_only():
+    """One verdict rule: compare has no keyword that changes how it judges."""
+    assert list(inspect.signature(compare).parameters) == ["check", "lam", "mu"]
 
 
 def test_stability_check():
@@ -254,8 +263,9 @@ def test_sweep_report_bytes_pinned(kwargs, json_sha, csv_sha):
 ])
 def test_sweep_verdicts_match_per_case_checks(check, grid):
     cfg = SweepConfig(check=check, **grid)
-    assert list(sweep(cfg).verdicts) == [compare(check, lam, mu, require_near_rectangular=False)
-                                         for lam, mu in sweep_cases(cfg)]
+    assert list(sweep(cfg).verdicts) == [
+        verify._judge(check, lam, mu, multiplicity_multiset(lam, mu), multiplicity_multiset(dual_star(lam), mu))
+        for lam, mu in sweep_cases(cfg)]
 
 
 def test_sweep_computes_each_distinct_histogram_once(monkeypatch):
